@@ -18,7 +18,9 @@ summation, so identical inputs give bit-identical results.
 
 from __future__ import annotations
 
+import cmath
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -48,6 +50,7 @@ __all__ = [
 ]
 
 _BLOCK = 16384
+_WINDOW = 48  # forward differences available to the Euler-Abel tail
 _FOUR_THIRDS = 4.0 / 3.0
 
 
@@ -66,6 +69,17 @@ def _as_family(family) -> SeriesFamily:
         raise DomainError(f"unknown series family {family!r}") from None
 
 
+def _as_int(v, low, what):
+    """v as a Python int >= low; numpy integer scalars pass, bool does not."""
+    try:
+        i = None if isinstance(v, bool) else operator.index(v)
+    except TypeError:
+        i = None
+    if i is None or i < low:
+        raise DomainError(f"{what}, got {v!r}")
+    return i
+
+
 @dataclass(frozen=True)
 class SeriesSpec:
     """One evaluation request: family, integer order n, scale b, argument x.
@@ -81,9 +95,9 @@ class SeriesSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "family", _as_family(self.family))
-        if not isinstance(self.n, int) or self.n < 0:
-            raise DomainError(f"order n must be a nonnegative integer, got {self.n!r}")
-        if not (isinstance(self.b, (int, float)) and math.isfinite(self.b)) or not 0.0 <= self.b <= 1.0:
+        object.__setattr__(self, "n", _as_int(self.n, 0, "order n must be a nonnegative integer"))
+        if (isinstance(self.b, bool) or not (isinstance(self.b, (int, float)) and math.isfinite(self.b))
+                or not 0.0 <= self.b <= 1.0):
             raise DomainError(f"scale b must lie in [0, 1], got {self.b!r}")
         if not (isinstance(self.x, (int, float)) and math.isfinite(self.x)):
             raise DomainError(f"argument x must be finite, got {self.x!r}")
@@ -110,8 +124,7 @@ class EvalOptions:
     def __post_init__(self):
         if self.mode not in ("adaptive", "fixed_k"):
             raise DomainError(f"mode must be 'adaptive' or 'fixed_k', got {self.mode!r}")
-        if not (isinstance(self.k_max, int) and self.k_max >= 1):
-            raise DomainError(f"k_max must be a positive integer, got {self.k_max!r}")
+        object.__setattr__(self, "k_max", _as_int(self.k_max, 1, "k_max must be a positive integer"))
         if not (isinstance(self.tol, (int, float)) and self.tol > 0.0):
             raise DomainError(f"tol must be positive, got {self.tol!r}")
 
@@ -121,9 +134,12 @@ class EvalResult:
     """Series value, the recovered J_n(bx), and truncation diagnostics.
 
     value is the series' own left-hand side (b^n J_n(bx), J_n(bx)/b or
-    (4m/b^2) J_2m(bx) by family and parity).  converged = True implies
-    tail_bound <= the requested tol.  condition_warning flags recoveries
-    that divide by b^n < 1e-6.
+    (4m/b^2) J_2m(bx) by family and parity).  tail_bound, in the units of
+    value, is the Euler-Abel tail transform's error estimate for a
+    converged adaptive result, and the magnitude of the first omitted term
+    for a fixed_k result or an adaptive one that ran out of k_max.
+    converged = True implies tail_bound <= the requested tol.
+    condition_warning flags recoveries that divide by b^n < 1e-6.
     """
 
     value: float
@@ -299,13 +315,91 @@ def _k_start(family):
     return 1 if family is SeriesFamily.A else 0
 
 
-def _weighted_terms(spec: SeriesSpec, i0: int, i1: int, x=None):
+def _family_block(spec: SeriesSpec, xa: float):
+    """The family's terms as block(i0, i1, smooth) -> (t, g) for 0-based
+    term numbers [i0, i1), and the (phi, imag) that _sum reads: phi = pi c, g is
+    the raw term without its (-1)^k, divided by k pi c for family A.  A
+    modulation slower than phi = 1/16 is folded into g = (-1)^k t_k with
+    phi = 0 instead, so that g does not grow like 1/c."""
+    fam, n, b = spec.family, spec.n, spec.b
+    lo, term_vec = _k_start(fam), _TERM_VEC[fam]
+    phi = math.pi * _c_of_b(b)
+    fold = phi < 1.0 / 16.0
+    imag = fam is SeriesFamily.A and not fold
+
+    def block(i0, i1, smooth):
+        ks = np.arange(lo + i0, lo + i1, dtype=np.float64)
+        raw = term_vec(n, xa, ks)
+        t = _weights_vec(fam, b, ks) * raw
+        if not smooth:
+            return t, None
+        g = (t if fold else raw) * (1.0 - 2.0 * (ks % 2.0))
+        if imag:
+            g /= ks * phi
+        return t, g
+    return block, (0.0 if fold else phi), imag
+
+
+def _weighted_terms(spec: SeriesSpec, i0: int, i1: int):
     """Modulated terms (weight * raw) for term numbers [i0, i1), 1-based."""
-    lo = _k_start(spec.family)
-    ks = np.arange(lo + i0 - 1, lo + i1 - 1, dtype=np.float64)
-    xa = abs(spec.x) if x is None else x
-    raw = _TERM_VEC[spec.family](spec.n, xa, ks)
-    return _weights_vec(spec.family, spec.b, ks) * raw
+    return _family_block(spec, abs(spec.x))[0](i0 - 1, i1 - 1, False)[0]
+
+
+def _sum(block, opts: EvalOptions, x: float, lo: int, thr: float,
+         phi: float = 0.0, imag: bool = False):
+    """(value, terms_used, tail, converged) of the sum of the terms t_i,
+    i >= 0, of block(i0, i1, smooth) -> (t, g); g is needed only if smooth.
+
+    Adaptive mode writes t_i = Re(z^(lo+i)) g_i (Im when imag), z = -e^(i phi)
+    and g smooth, sums t_i for i < K0 and adds the Euler-Abel tail
+
+        sum_{i>=K0} z^(lo+i) g_i = z^(lo+K0)/(1-z) sum_p r^p Delta^p g_K0,  r = z/(1-z),
+
+    cut after three consecutive terms, scaled by |z^(lo+K0)/(1-z)|, below
+    thr; their sum is the tail estimate.  Otherwise K0 (first past 4x/pi,
+    where g is smooth) doubles.  k_max caps every term evaluated, the
+    _WINDOW differences included; past it, or at z = 1, the raw partial
+    sum of k_max terms is returned as in fixed_k mode, with |t_k_max| as
+    tail, and adaptive mode reports converged = False.
+    """
+    smooth = opts.mode == "adaptive" and phi < math.pi
+    ts, gs = [], []
+
+    def upto(count):
+        have = sum(map(len, ts))
+        while have < count:
+            t, g = block(have, min(have + _BLOCK, count), smooth)
+            ts.append(t)
+            gs.append(g)
+            have += len(t)
+        return np.concatenate(ts)
+
+    k0 = max(64, int(4.0 * x / math.pi) + 8)
+    if smooth:
+        # 1 - z = 2 cos(phi/2) e^(i phi/2), accurate as z -> 1
+        half = cmath.exp(0.5j * phi)
+        one_minus_z = 2.0 * math.cos(0.5 * phi) * half
+        r = -half / (2.0 * math.cos(0.5 * phi))
+        while k0 + _WINDOW <= opts.k_max:
+            t = upto(k0 + _WINDOW)
+            m = lo + k0
+            pre = (-1.0) ** m * cmath.exp(1j * (m * phi)) / one_minus_z
+            d, rp, acc, run, est = np.concatenate(gs)[k0:], 1.0, 0j, 0, 0.0
+            for _ in range(_WINDOW):
+                e = rp * float(d[0])
+                acc += e
+                size = abs(pre * e)
+                run, est = (run + 1, est + size) if size < thr else (0, 0.0)
+                if run == 3:
+                    tail = pre * acc
+                    return (math.fsum(t[:k0]) + (tail.imag if imag else tail.real),
+                            k0 + _WINDOW, est, True)
+                d = np.diff(d)
+                rp *= r
+            k0 *= 2
+    t = upto(opts.k_max)
+    tail = abs(float(block(opts.k_max, opts.k_max + 1, False)[0][0]))
+    return math.fsum(t), opts.k_max, tail, opts.mode == "fixed_k" and tail <= opts.tol
 
 
 def _recover_bessel(spec: SeriesSpec, value: float) -> float:
@@ -327,16 +421,17 @@ def _amplification_scale(spec: SeriesSpec) -> float:
 
 
 def eval_series(spec: SeriesSpec, opts: EvalOptions | None = None) -> EvalResult:
-    """Sum the requested series in ascending k with exact compensated
-    summation.
+    """Sum the requested series with exact compensated summation.
 
-    Adaptive mode stops once two consecutive unmodulated term magnitudes
-    fall below tol scaled by the family's J-recovery amplification (the
-    modulation factors satisfy |eps * g| <= 1, so the modulated terms are
-    below tol as well; stopping on the raw magnitudes is immune to
-    accidental zeros of the modulation).  tail_bound is the magnitude of
-    the first omitted modulated term.  If k_max is exhausted first the
-    partial sum is returned with converged = False.
+    fixed_k mode returns the raw partial sum of k_max terms, and tail_bound
+    is the magnitude of the first omitted term.  Adaptive mode writes the
+    terms as Re(z^k) F_k, or Im(z^k) F_k / (k pi c) for family A, with
+    z = exp(-i pi (1 - c)), c = sqrt(1 - b^2) and F_k the term without its
+    (-1)^k, and sums the tail by the Euler-Abel transformation (see _sum).
+    It converges once the transform settles below 0.1 tol times b^n
+    (families A, C) or tol (B), and tail_bound is then the transform's
+    error estimate; when it cannot settle within k_max terms, the window
+    included, the raw partial sum of k_max terms has converged = False.
     """
     if opts is None:
         opts = EvalOptions()
@@ -344,9 +439,10 @@ def eval_series(spec: SeriesSpec, opts: EvalOptions | None = None) -> EvalResult
     sign = -1.0 if (spec.x < 0 and n % 2 == 1) else 1.0
     xa = abs(spec.x)
 
-    if fam is SeriesFamily.C and b == 0.0 and n >= 1:
-        # b^n J_n(0) is identically zero; nothing to sum
-        return EvalResult(0.0, 0.0, 0, 0.0, True)
+    if fam is SeriesFamily.C and b == 0.0 and (n >= 1 or opts.mode == "adaptive"):
+        # b^n J_n(0): 1 at n = 0, else 0 (z = 1 leaves no transform to sum by)
+        v = 1.0 if n == 0 else 0.0
+        return EvalResult(v, v, 0, 0.0, True)
     if fam is SeriesFamily.B and b == 0.0:
         # the left side exists only as the b -> 0 limit, and at b = 0 the
         # modulation degenerates to (-1)^k, leaving a one-signed tail for
@@ -358,41 +454,13 @@ def eval_series(spec: SeriesSpec, opts: EvalOptions | None = None) -> EvalResult
             limit = xa * xa / 2.0 if n == 2 else 0.0  # lim (4m/b^2) J_2m(bx)
         return EvalResult(sign * limit, sign * limit, 0, 0.0, True)
 
-    lo = _k_start(fam)
-    term_vec = _TERM_VEC[fam]
-    kept = []
-    stop_at = None  # 0-based index of the second sub-threshold term
-    total = 0
-    thr = opts.tol * _amplification_scale(spec)
-    prev_small = False
-    while total < opts.k_max and stop_at is None:
-        count = min(_BLOCK, opts.k_max - total)
-        ks = np.arange(lo + total, lo + total + count, dtype=np.float64)
-        raw = term_vec(n, xa, ks)
-        t = _weights_vec(fam, b, ks) * raw
-        if opts.mode == "adaptive":
-            small = np.abs(raw) < thr
-            if prev_small and small[0]:
-                stop_at = total
-            else:
-                pair = small[1:] & small[:-1]
-                if pair.any():
-                    stop_at = total + int(np.argmax(pair)) + 1
-            prev_small = bool(small[-1])
-        if stop_at is not None:
-            kept.append(t[: stop_at - total + 1])
-            total = stop_at + 1
-        else:
-            kept.append(t)
-            total += count
-
-    value = math.fsum(np.concatenate(kept)) if kept else 0.0
-    next_term = _weighted_terms(spec, total + 1, total + 2, x=xa)
-    tail = abs(float(next_term[0]))
-    converged = tail <= opts.tol if opts.mode == "fixed_k" else stop_at is not None
+    block, phi, imag = _family_block(spec, xa)
+    value, used, tail, converged = _sum(
+        block, opts, xa, _k_start(fam), 0.1 * opts.tol * _amplification_scale(spec),
+        phi, imag)
     bessel = _recover_bessel(spec, value)
     warn = fam is not SeriesFamily.B and n >= 1 and b**n < 1e-6
-    return EvalResult(sign * value, sign * bessel, total, tail, converged, warn)
+    return EvalResult(sign * value, sign * bessel, used, tail, converged, warn)
 
 
 def eval_at_b1(n: int, x: float, opts: EvalOptions | None = None) -> EvalResult:
@@ -413,8 +481,9 @@ def eval_j0_variant(x: float, opts: EvalOptions | None = None) -> EvalResult:
         psi_i  = sqrt(4 x^2 / 3 + ((2i-1) pi)^2).
 
     Only every other Fourier index survives the scale factor, which is why
-    the odd multiples (2i-1) pi appear.  The series converges conditionally
-    at O(1/K); fixed_k mode is the practical choice.
+    the odd multiples (2i-1) pi appear.  The raw partial sums converge
+    conditionally at O(1/K); adaptive mode sums the alternating tail by
+    the Euler-Abel transformation at z = -1 (see eval_series).
     """
     if opts is None:
         opts = EvalOptions()
@@ -422,42 +491,19 @@ def eval_j0_variant(x: float, opts: EvalOptions | None = None) -> EvalResult:
         raise DomainError(f"argument x must be finite, got {x!r}")
     x2 = _FOUR_THIRDS * x * x  # (2x/sqrt(3))^2
 
-    def block(i0, i1):
-        idx = np.arange(i0, i1, dtype=np.float64)
+    def block(i0, i1, smooth):
+        idx = np.arange(i0 + 1, i1 + 1, dtype=np.float64)
         opi = (2.0 * idx - 1.0) * np.pi
         psi = np.hypot(math.sqrt(x2), opi)
         delta = np.where(psi + opi > 0.0, x2 / (psi + opi), 0.0)
         spsi = -np.sin(delta)  # sin((2i-1) pi + delta) = -sin(delta)
         cpsi = -np.cos(delta)
         sgn = np.where(idx.astype(np.int64) % 2 == 0, 1.0, -1.0)
-        return 4.0 * sgn * opi * (psi * cpsi - spsi) / psi**3
+        g = 4.0 * opi * (psi * cpsi - spsi) / psi**3
+        return sgn * g, g
 
-    kept = []
-    total = 0
-    stop_at = None
-    prev_small = False
-    while total < opts.k_max and stop_at is None:
-        count = min(_BLOCK, opts.k_max - total)
-        t = block(total + 1, total + count + 1)
-        if opts.mode == "adaptive":
-            small = np.abs(t) < opts.tol
-            if prev_small and small[0]:
-                stop_at = total
-            else:
-                pair = small[1:] & small[:-1]
-                if pair.any():
-                    stop_at = total + int(np.argmax(pair)) + 1
-            prev_small = bool(small[-1])
-        if stop_at is not None:
-            kept.append(t[: stop_at - total + 1])
-            total = stop_at + 1
-        else:
-            kept.append(t)
-            total += count
-    value = math.fsum(np.concatenate(kept))
-    tail = abs(float(block(total + 1, total + 2)[0]))
-    converged = tail <= opts.tol if opts.mode == "fixed_k" else stop_at is not None
-    return EvalResult(value, value, total, tail, converged)
+    value, used, tail, converged = _sum(block, opts, math.sqrt(x2), 1, 0.1 * opts.tol)
+    return EvalResult(value, value, used, tail, converged)
 
 
 def bessel_j(n: int, x: float, family, b: float = 1.0,
@@ -468,7 +514,7 @@ def bessel_j(n: int, x: float, family, b: float = 1.0,
     J_n(-x) = (-1)^n J_n(x) for negative arguments.
     """
     fam = _as_family(family)
-    if not (isinstance(b, (int, float)) and 0.0 < b <= 1.0):
+    if isinstance(b, bool) or not (isinstance(b, (int, float)) and 0.0 < b <= 1.0):
         raise DomainError(f"bessel_j requires 0 < b <= 1, got {b!r}")
     spec = SeriesSpec(fam, n, float(b), x / b)
     return eval_series(spec, opts).bessel_value

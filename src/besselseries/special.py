@@ -95,7 +95,8 @@ def _jn_upward(m, z, sz, cz):
 
 
 def _jn_miller(m, z, sz, cz):
-    """Downward (Miller) recurrence normalized against j_0 = sin z / z.
+    """Downward (Miller) recurrence normalized against j_0 = sin z / z, or
+    against j_1 where |j_1| > |j_0| (near and at the zeros of j_0).
 
     Start order m + 16 + ceil(sqrt(40 m)) keeps the relative seed error
     below 1e-16 after normalization for z in [0.5, m + 1).
@@ -115,7 +116,10 @@ def _jn_miller(m, z, sz, cz):
             g[big] *= 1e-250
             if gm is not None:
                 gm[big] *= 1e-250
-    return gm * (sz / z) / g
+    j0 = sz / z
+    j1 = (j0 - cz) / z
+    use1 = np.abs(j1) > np.abs(j0)
+    return gm * np.where(use1, j1, j0) / np.where(use1, gp, g)
 
 
 def _spherical_jn_vec(m, z, sin_z=None, cos_z=None):

@@ -3,6 +3,7 @@ cases, parity, tail bounds, and term asymptotics."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -55,6 +56,35 @@ class TestSpecValidation:
             EvalOptions(k_max=0)
         with pytest.raises(DomainError):
             EvalOptions(tol=0.0)
+
+
+class TestInputEdges:
+    def test_numpy_integer_order(self):
+        spec = SeriesSpec("C", np.int64(2), 0.5, 1.0)
+        assert type(spec.n) is int and spec.n == 2
+        assert eval_series(spec).bessel_value == eval_series(
+            SeriesSpec("C", 2, 0.5, 1.0)).bessel_value
+        assert bessel_j(np.int32(1), 2.0, "C") == bessel_j(1, 2.0, "C")
+
+    def test_bool_order_rejected(self):
+        with pytest.raises(DomainError):
+            SeriesSpec("C", True, 0.5, 1.0)
+        with pytest.raises(DomainError):
+            bessel_j(False, 1.0, "C")
+
+    def test_bool_scale_rejected(self):
+        with pytest.raises(DomainError):
+            SeriesSpec("C", 0, True, 1.0)
+        with pytest.raises(DomainError):
+            bessel_j(1, 1.0, "C", b=True)
+
+    def test_k_max_numpy_integer_and_bool(self):
+        opts = EvalOptions(k_max=np.int64(100))
+        assert type(opts.k_max) is int and opts.k_max == 100
+        with pytest.raises(DomainError):
+            EvalOptions(k_max=True)
+        with pytest.raises(DomainError):
+            EvalOptions(k_max=100.0)
 
 
 class TestEvalSeries:

@@ -93,6 +93,25 @@ class TestSphericalJn:
             assert np.isfinite(lo[0]) and np.isfinite(hi[0])
             assert abs(lo[0] - hi[0]) < 0.01 * max(abs(lo[0]), abs(hi[0]))
 
+    @pytest.mark.parametrize("m", [3, 5, 8, 9])
+    def test_miller_near_zeros_of_j0(self, m):
+        # the downward recurrence is normalized against j_0 = sin z / z,
+        # which vanishes at z = k pi; 40-digit mpmath references
+        import mpmath
+        for k in range(1, 4):
+            for z in (k * math.pi - 1e-3, k * math.pi, k * math.pi + 1e-6):
+                if not 0.5 <= z < m + 1:
+                    continue
+                with mpmath.workdps(40):
+                    ref = float(mpmath.sqrt(mpmath.pi / (2 * z)) * mpmath.besselj(m + 0.5, z))
+                assert spherical_jn(m, z) == pytest.approx(ref, rel=1e-13)
+            # sin z passed in as exactly 0 at z = k pi, as the term kernels
+            # do at x = 0
+            if k * math.pi < m + 1:
+                got = _spherical_jn_vec(m, np.array([k * math.pi]), np.array([0.0]),
+                                        np.array([(-1.0) ** k]))[0]
+                assert got == pytest.approx(spherical_jn(m, k * math.pi), rel=1e-13)
+
     def test_invalid_arguments(self):
         with pytest.raises(DomainError):
             spherical_jn(-1, 1.0)
