@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .errors import BoundNotApplicableError, DomainError
+from .errors import BoundNotApplicableError, DomainError, as_int, as_real
 from .special import _spherical_jn_vec
 
 __all__ = [
@@ -69,17 +68,6 @@ def _as_family(family) -> SeriesFamily:
         raise DomainError(f"unknown series family {family!r}") from None
 
 
-def _as_int(v, low, what):
-    """v as a Python int >= low; numpy integer scalars pass, bool does not."""
-    try:
-        i = None if isinstance(v, bool) else operator.index(v)
-    except TypeError:
-        i = None
-    if i is None or i < low:
-        raise DomainError(f"{what}, got {v!r}")
-    return i
-
-
 @dataclass(frozen=True)
 class SeriesSpec:
     """One evaluation request: family, integer order n, scale b, argument x.
@@ -95,12 +83,9 @@ class SeriesSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "family", _as_family(self.family))
-        object.__setattr__(self, "n", _as_int(self.n, 0, "order n must be a nonnegative integer"))
-        if (isinstance(self.b, bool) or not (isinstance(self.b, (int, float)) and math.isfinite(self.b))
-                or not 0.0 <= self.b <= 1.0):
-            raise DomainError(f"scale b must lie in [0, 1], got {self.b!r}")
-        if not (isinstance(self.x, (int, float)) and math.isfinite(self.x)):
-            raise DomainError(f"argument x must be finite, got {self.x!r}")
+        object.__setattr__(self, "n", as_int(self.n, 0, "order n must be a nonnegative integer"))
+        object.__setattr__(self, "b", as_real(self.b, "scale b must lie in [0, 1]", ge=0.0, le=1.0))
+        object.__setattr__(self, "x", as_real(self.x, "argument x must be finite"))
         if self.family is SeriesFamily.A:
             if self.b == 0.0:
                 raise DomainError("family A requires b > 0")
@@ -124,9 +109,8 @@ class EvalOptions:
     def __post_init__(self):
         if self.mode not in ("adaptive", "fixed_k"):
             raise DomainError(f"mode must be 'adaptive' or 'fixed_k', got {self.mode!r}")
-        object.__setattr__(self, "k_max", _as_int(self.k_max, 1, "k_max must be a positive integer"))
-        if not (isinstance(self.tol, (int, float)) and self.tol > 0.0):
-            raise DomainError(f"tol must be positive, got {self.tol!r}")
+        object.__setattr__(self, "k_max", as_int(self.k_max, 1, "k_max must be a positive integer"))
+        object.__setattr__(self, "tol", as_real(self.tol, "tol must be positive and finite", gt=0.0))
 
 
 @dataclass
@@ -156,17 +140,14 @@ class EvalResult:
 
 def phi(x: float, k: int) -> float:
     """phi_k = sqrt(x^2 + (k pi)^2)."""
-    if not (isinstance(x, (int, float)) and math.isfinite(x)) or x < 0:
-        raise DomainError(f"phi requires finite x >= 0, got {x!r}")
-    if not isinstance(k, int) or k < 0:
-        raise DomainError(f"phi requires integer k >= 0, got {k!r}")
+    x = as_real(x, "phi requires finite x >= 0", ge=0.0)
+    k = as_int(k, 0, "phi requires integer k >= 0")
     return math.hypot(x, k * math.pi)
 
 
 def eps(k: int) -> float:
     """Half weight for the k = 0 term: 1/2 at k = 0, else 1."""
-    if not isinstance(k, int) or k < 0:
-        raise DomainError(f"eps requires integer k >= 0, got {k!r}")
+    k = as_int(k, 0, "eps requires integer k >= 0")
     return 0.5 if k == 0 else 1.0
 
 
@@ -177,10 +158,8 @@ def _c_of_b(b):
 
 def g_a(b: float, k: int) -> float:
     """sin(k pi c)/(k pi c) with c = sqrt(1 - b^2); 1 at b = 1 (sinc limit)."""
-    if not 0.0 < b <= 1.0:
-        raise DomainError(f"g_a requires 0 < b <= 1, got {b!r}")
-    if not isinstance(k, int) or k < 1:
-        raise DomainError(f"g_a requires integer k >= 1, got {k!r}")
+    b = as_real(b, "g_a requires 0 < b <= 1", gt=0.0, le=1.0)
+    k = as_int(k, 1, "g_a requires integer k >= 1")
     c = _c_of_b(b)
     if c == 0.0:
         return 1.0
@@ -190,10 +169,8 @@ def g_a(b: float, k: int) -> float:
 
 def g_bc(b: float, k: int) -> float:
     """cos(k pi sqrt(1 - b^2))."""
-    if not 0.0 <= b <= 1.0:
-        raise DomainError(f"g_bc requires 0 <= b <= 1, got {b!r}")
-    if not isinstance(k, int) or k < 0:
-        raise DomainError(f"g_bc requires integer k >= 0, got {k!r}")
+    b = as_real(b, "g_bc requires 0 <= b <= 1", ge=0.0, le=1.0)
+    k = as_int(k, 0, "g_bc requires integer k >= 0")
     return math.cos(k * math.pi * _c_of_b(b))
 
 
@@ -201,18 +178,32 @@ def g_bc(b: float, k: int) -> float:
 # vectorized term kernels
 # ---------------------------------------------------------------------------
 
-def _phi_parts(x, ks):
-    """phi_k together with sin(phi_k), cos(phi_k) evaluated through the
-    exact decomposition phi_k = k pi + delta, delta = x^2/(phi_k + k pi).
+def _alt(ks):
+    """(-1)^k over an array of integer-valued floats k."""
+    return np.where(ks.astype(np.int64) % 2 == 0, 1.0, -1.0)
 
-    This sidesteps large-argument trig reduction and keeps full relative
-    accuracy in sin(phi_k), which is O(x^2 / k pi) near k pi.
+
+def _phase(x, ks):
+    """(k pi, phi_k, delta_k, (-1)^k) for the exact decomposition
+
+        phi_k = sqrt(x^2 + (k pi)^2) = k pi + delta_k,   delta_k = x^2/(phi_k + k pi),
+
+    with delta_0 = 0 at x = 0.  Every series in the package takes its phase
+    from here: sin(phi_k) = (-1)^k sin(delta_k) and cos(phi_k) =
+    (-1)^k cos(delta_k) need no large-argument trig reduction, and delta_k
+    is phi_k - k pi without its cancellation.
     """
     kpi = np.pi * ks
     ph = np.hypot(x, kpi)
     den = ph + kpi
     delta = np.where(den > 0.0, x * x / np.where(den > 0.0, den, 1.0), 0.0)
-    sgn = np.where(ks.astype(np.int64) % 2 == 0, 1.0, -1.0)
+    return kpi, ph, delta, _alt(ks)
+
+
+def _phi_parts(x, ks):
+    """(k pi, phi_k, sin(phi_k), cos(phi_k)) through _phase; sin(phi_k),
+    which is O(x^2 / k pi) near k pi, keeps full relative accuracy."""
+    kpi, ph, delta, sgn = _phase(x, ks)
     return kpi, ph, sgn * np.sin(delta), sgn * np.cos(delta)
 
 
@@ -243,12 +234,10 @@ def _term_b_vec(n, x, ks):
     x j_m(u-) j_m(u+).  Even n = 2m: x^2 [ j_{m-1}(u-) j_{m-1}(u+)
     + j_m(u-) j_m(u+) ].
     """
-    kpi, ph, _, _ = _phi_parts(x, ks)
-    den = ph + kpi
-    um = np.where(den > 0.0, x * x / 2.0 / np.where(den > 0.0, den, 1.0), 0.0)
-    up = den / 2.0
+    kpi, ph, delta, sgn = _phase(x, ks)
+    um = delta / 2.0
+    up = (ph + kpi) / 2.0
     # u+ = k pi + u-, so sin/cos of u+ follow from sin/cos of the tiny u-
-    sgn = np.where(ks.astype(np.int64) % 2 == 0, 1.0, -1.0)
     sm, cm = np.sin(um), np.cos(um)
     sp, cp = sgn * sm, sgn * cm
     if n % 2 == 1:
@@ -278,33 +267,26 @@ def _weights_vec(family, b, ks):
     return np.where(ks == 0, 0.5 * w, w)
 
 
-def _check_term_args(n, x, k, k_min, op):
-    if not isinstance(n, int) or n < 0:
-        raise DomainError(f"{op} requires integer n >= 0, got {n!r}")
-    if not (isinstance(x, (int, float)) and math.isfinite(x)) or x < 0:
-        raise DomainError(f"{op} requires finite x >= 0, got {x!r}")
-    if not isinstance(k, int) or k < k_min:
-        raise DomainError(f"{op} requires integer k >= {k_min}, got {k!r}")
+def _term(term_vec, n, x, k, n_min, k_min, op):
+    n = as_int(n, n_min, f"{op} requires integer n >= {n_min}")
+    x = as_real(x, f"{op} requires finite x >= 0", ge=0.0)
+    k = as_int(k, k_min, f"{op} requires integer k >= {k_min}")
+    return float(term_vec(n, x, np.array([float(k)]))[0])
 
 
 def term_a(n: int, x: float, k: int) -> float:
     """(k pi) f_n^A(x, k pi), the unmodulated k-th term of family A."""
-    _check_term_args(n, x, k, 1, "term_a")
-    return float(_term_a_vec(n, float(x), np.array([float(k)]))[0])
+    return _term(_term_a_vec, n, x, k, 0, 1, "term_a")
 
 
 def term_b(n: int, x: float, k: int) -> float:
     """f_n^B(x, k pi), the unmodulated k-th term of family B (n >= 1)."""
-    _check_term_args(n, x, k, 0, "term_b")
-    if n == 0:
-        raise DomainError("family B terms require n >= 1")
-    return float(_term_b_vec(n, float(x), np.array([float(k)]))[0])
+    return _term(_term_b_vec, n, x, k, 1, 0, "term_b")
 
 
 def term_c(n: int, x: float, k: int) -> float:
     """f_n^C(x, k pi), the unmodulated k-th term of family C."""
-    _check_term_args(n, x, k, 0, "term_c")
-    return float(_term_c_vec(n, float(x), np.array([float(k)]))[0])
+    return _term(_term_c_vec, n, x, k, 0, 0, "term_c")
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +315,7 @@ def _family_block(spec: SeriesSpec, xa: float):
         t = _weights_vec(fam, b, ks) * raw
         if not smooth:
             return t, None
-        g = (t if fold else raw) * (1.0 - 2.0 * (ks % 2.0))
+        g = (t if fold else raw) * _alt(ks)
         if imag:
             g /= ks * phi
         return t, g
@@ -468,8 +450,7 @@ def eval_at_b1(n: int, x: float, opts: EvalOptions | None = None) -> EvalResult:
 
     Defined for n >= 1; the order-0 series diverges at b = 1.
     """
-    if not isinstance(n, int) or n < 1:
-        raise DomainError("the b = 1 series requires n >= 1 (order 0 diverges)")
+    n = as_int(n, 1, "the b = 1 series requires n >= 1 (order 0 diverges)")
     return eval_series(SeriesSpec(SeriesFamily.A, n, 1.0, x), opts)
 
 
@@ -487,22 +468,16 @@ def eval_j0_variant(x: float, opts: EvalOptions | None = None) -> EvalResult:
     """
     if opts is None:
         opts = EvalOptions()
-    if not (isinstance(x, (int, float)) and math.isfinite(x)):
-        raise DomainError(f"argument x must be finite, got {x!r}")
-    x2 = _FOUR_THIRDS * x * x  # (2x/sqrt(3))^2
+    x = as_real(x, "argument x must be finite")
+    xs = math.sqrt(_FOUR_THIRDS * x * x)  # 2|x|/sqrt(3)
 
     def block(i0, i1, smooth):
         idx = np.arange(i0 + 1, i1 + 1, dtype=np.float64)
-        opi = (2.0 * idx - 1.0) * np.pi
-        psi = np.hypot(math.sqrt(x2), opi)
-        delta = np.where(psi + opi > 0.0, x2 / (psi + opi), 0.0)
-        spsi = -np.sin(delta)  # sin((2i-1) pi + delta) = -sin(delta)
-        cpsi = -np.cos(delta)
-        sgn = np.where(idx.astype(np.int64) % 2 == 0, 1.0, -1.0)
+        opi, psi, spsi, cpsi = _phi_parts(xs, 2.0 * idx - 1.0)
         g = 4.0 * opi * (psi * cpsi - spsi) / psi**3
-        return sgn * g, g
+        return _alt(idx) * g, g
 
-    value, used, tail, converged = _sum(block, opts, math.sqrt(x2), 1, 0.1 * opts.tol)
+    value, used, tail, converged = _sum(block, opts, xs, 1, 0.1 * opts.tol)
     return EvalResult(value, value, used, tail, converged)
 
 
@@ -514,10 +489,9 @@ def bessel_j(n: int, x: float, family, b: float = 1.0,
     J_n(-x) = (-1)^n J_n(x) for negative arguments.
     """
     fam = _as_family(family)
-    if isinstance(b, bool) or not (isinstance(b, (int, float)) and 0.0 < b <= 1.0):
-        raise DomainError(f"bessel_j requires 0 < b <= 1, got {b!r}")
-    spec = SeriesSpec(fam, n, float(b), x / b)
-    return eval_series(spec, opts).bessel_value
+    b = as_real(b, "bessel_j requires 0 < b <= 1", gt=0.0, le=1.0)
+    x = as_real(x, "argument x must be finite")
+    return eval_series(SeriesSpec(fam, n, b, x / b), opts).bessel_value
 
 
 # ---------------------------------------------------------------------------
@@ -533,12 +507,9 @@ def asymptotic_term(family, n: int, x: float, k: int) -> float:
     (-1)^(k+m+1) (x/(k pi))^(2m+1) [x^2 + (2m+2)(2m+3)] / (k pi).
     """
     fam = _as_family(family)
-    if not isinstance(n, int) or n < 0:
-        raise DomainError(f"order n must be a nonnegative integer, got {n!r}")
-    if not isinstance(k, int) or k < 1:
-        raise DomainError(f"asymptotic_term requires integer k >= 1, got {k!r}")
-    if not (isinstance(x, (int, float)) and math.isfinite(x)) or x < 0:
-        raise DomainError(f"asymptotic_term requires finite x >= 0, got {x!r}")
+    n = as_int(n, 0, "order n must be a nonnegative integer")
+    k = as_int(k, 1, "asymptotic_term requires integer k >= 1")
+    x = as_real(x, "asymptotic_term requires finite x >= 0", ge=0.0)
     y = k * math.pi
     if fam is SeriesFamily.A:
         if n % 2 == 0:
@@ -589,8 +560,7 @@ def tail_bound(spec: SeriesSpec, K: int) -> float:
     BoundNotApplicableError reports what failed.  An all-zero window
     yields the exact bound 0.
     """
-    if not isinstance(K, int) or K < 0:
-        raise DomainError(f"K must be a nonnegative integer, got {K!r}")
+    K = as_int(K, 0, "K must be a nonnegative integer")
     pos = K + 1 if spec.family is SeriesFamily.A else K + 2  # index -> term number
     window = _weighted_terms(spec, pos, pos + 8)
     if np.all(window == 0.0):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 
-from .errors import DomainError, NoConvergenceError
+from .errors import DomainError, NoConvergenceError, as_int, as_real
 
 __all__ = [
     "HalfOrderIndex",
@@ -39,8 +39,8 @@ class HalfOrderIndex:
     m: int
 
     def __post_init__(self):
-        if not isinstance(self.m, int) or self.m < 0:
-            raise DomainError(f"half-order index must be a nonnegative integer, got {self.m!r}")
+        object.__setattr__(self, "m",
+                           as_int(self.m, 0, "half-order index must be a nonnegative integer"))
 
     @property
     def order(self) -> float:
@@ -55,10 +55,9 @@ class OracleConfig:
     max_terms: int = 500
 
     def __post_init__(self):
-        if not (self.tol > 0.0):
-            raise DomainError(f"tol must be positive, got {self.tol!r}")
-        if not (isinstance(self.max_terms, int) and self.max_terms >= 1):
-            raise DomainError(f"max_terms must be a positive integer, got {self.max_terms!r}")
+        object.__setattr__(self, "tol", as_real(self.tol, "tol must be positive and finite", gt=0.0))
+        object.__setattr__(self, "max_terms",
+                           as_int(self.max_terms, 1, "max_terms must be a positive integer"))
 
 
 # ---------------------------------------------------------------------------
@@ -160,20 +159,18 @@ def spherical_jn(m: int, z: float) -> float:
     Relative accuracy is within 1e-13 for z <= 1e6 and m <= 64 away from
     the zeros of j_m.
     """
-    if not isinstance(m, int) or m < 0:
-        raise DomainError(f"order m must be a nonnegative integer, got {m!r}")
-    if not (isinstance(z, (int, float)) and math.isfinite(z)) or z < 0:
-        raise DomainError(f"argument must be finite and nonnegative, got {z!r}")
-    return float(_spherical_jn_vec(m, np.array([float(z)]))[0])
+    m = as_int(m, 0, "order m must be a nonnegative integer")
+    z = as_real(z, "argument must be finite and nonnegative", ge=0.0)
+    return float(_spherical_jn_vec(m, np.array([z]))[0])
 
 
 def bessel_j_half(m, z: float) -> float:
     """J_{m+1/2}(z) = sqrt(2 z / pi) * j_m(z); exactly 0 at z = 0."""
     if isinstance(m, HalfOrderIndex):
         m = m.m
-    if z == 0:
-        if not isinstance(m, int) or m < 0:
-            raise DomainError(f"order m must be a nonnegative integer, got {m!r}")
+    m = as_int(m, 0, "order m must be a nonnegative integer")
+    z = as_real(z, "argument must be finite and nonnegative", ge=0.0)
+    if z == 0.0:
         return 0.0
     return math.sqrt(2.0 * z / math.pi) * spherical_jn(m, z)
 
@@ -244,9 +241,7 @@ def _log_gamma_long(a):
 
 def log_gamma(a: float) -> float:
     """ln Gamma(a) for a > 0, absolute error within 1e-13 on (0, 170]."""
-    if not (isinstance(a, (int, float)) and math.isfinite(a)) or a <= 0:
-        raise DomainError(f"log_gamma requires a > 0, got {a!r}")
-    return float(_log_gamma_long(float(a)))
+    return float(_log_gamma_long(as_real(a, "log_gamma requires a > 0", gt=0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -265,11 +260,9 @@ def bessel_j_power_series(nu: float, x: float, cfg: OracleConfig | None = None) 
     """
     if cfg is None:
         cfg = OracleConfig()
-    if not (isinstance(nu, (int, float)) and math.isfinite(nu)) or nu <= -1:
-        raise DomainError(f"order must satisfy nu > -1, got {nu!r}")
-    if not (isinstance(x, (int, float)) and math.isfinite(x)) or x < 0 or x > POWER_SERIES_X_MAX:
-        raise DomainError(
-            f"argument must lie in [0, {POWER_SERIES_X_MAX}], got {x!r}")
+    nu = as_real(nu, "order must satisfy nu > -1", gt=-1.0)
+    x = as_real(x, f"argument must lie in [0, {POWER_SERIES_X_MAX}]", ge=0.0,
+                le=POWER_SERIES_X_MAX)
     if x == 0.0:
         return 1.0 if nu == 0 else 0.0
     digits = 25 + int(0.45 * x)

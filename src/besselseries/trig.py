@@ -9,9 +9,10 @@ With phi_k = sqrt(x^2 + (k pi)^2):
                                         - x^2 sin phi_k / phi_k^3]
 
 The third form has alternating terms and its partial sums converge one
-order faster in K than the second.  All three are summed through the
-decomposition phi_k = k pi + delta_k, delta_k = x^2/(phi_k + k pi), which
-turns each bracket into small-angle quantities:
+order faster in K than the second.  All three take phi_k, delta_k and
+(-1)^k from engine._phase, the package's one decomposition
+phi_k = k pi + delta_k, delta_k = x^2/(phi_k + k pi), which turns each
+bracket into small-angle quantities:
 
     1 - (-1)^k cos phi_k  =  2 sin^2(delta_k / 2)
     (-1)^k sin phi_k      =  sin delta_k
@@ -25,23 +26,18 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .engine import _phase
+from .errors import as_int, as_real
 
 __all__ = ["cos_series", "sin_series_1", "sin_series_2"]
 
 
-def _check(x, K):
-    if not (isinstance(x, (int, float)) and math.isfinite(x)):
-        raise DomainError(f"x must be finite, got {x!r}")
-    if not isinstance(K, int) or K < 1:
-        raise DomainError(f"K must be a positive integer, got {K!r}")
-
-
-def _deltas(x, K):
-    ks = np.arange(1, K + 1, dtype=np.float64)
-    kpi = np.pi * ks
-    ph = np.hypot(x, kpi)
-    return ks, kpi, ph, x * x / (ph + kpi)
+def _split(x, K):
+    """The checked x as a float, and phi_k, delta_k, (-1)^k for k = 1..K."""
+    x = as_real(x, "x must be finite")
+    ks = np.arange(1, as_int(K, 1, "K must be a positive integer") + 1, dtype=np.float64)
+    _, ph, delta, sgn = _phase(x, ks)
+    return x, ph, delta, sgn
 
 
 def cos_series(x: float, K: int) -> float:
@@ -50,8 +46,7 @@ def cos_series(x: float, K: int) -> float:
     One-signed terms ~ x^4/(2 k pi)^2; the truncation error is close to
     x^4/(4 pi^2 K).
     """
-    _check(x, K)
-    _, _, _, d = _deltas(x, K)
+    _, _, d, _ = _split(x, K)
     return 2.0 * math.fsum(2.0 * np.sin(d / 2.0) ** 2)
 
 
@@ -62,8 +57,7 @@ def sin_series_1(x: float, K: int) -> float:
     close to x^2/(pi^2 K).  Returns 0 at x = 0 (every term vanishes, matching
     the continuous limit of the left side).
     """
-    _check(x, K)
-    _, _, ph, d = _deltas(x, K)
+    _, ph, d, _ = _split(x, K)
     return 2.0 * math.fsum(np.sin(d) / ph)
 
 
@@ -77,8 +71,6 @@ def sin_series_2(x: float, K: int) -> float:
     (k pi)^2/phi^2 factor.  Truncation error is close to
     x^2 (1 + x^2/8) / (pi K)^2.
     """
-    _check(x, K)
-    ks, _, ph, d = _deltas(x, K)
-    sgn = np.where(ks.astype(np.int64) % 2 == 0, 1.0, -1.0)
+    x, ph, d, sgn = _split(x, K)
     bracket = 2.0 * np.sin(d / 2.0) ** 2 + (x * x / (ph * ph)) * (np.cos(d) - np.sin(d) / ph)
     return -2.0 * math.fsum(sgn * bracket)

@@ -27,7 +27,8 @@ import numpy as np
 from .engine import (EvalOptions, SeriesFamily, SeriesSpec, _as_family,
                      _weighted_terms, asymptotic_term, eval_series,
                      tail_bound, term_a, term_b, term_c)
-from .errors import BoundNotApplicableError, DomainError, NoConvergenceError, QuadratureError
+from .errors import (BoundNotApplicableError, DomainError, NoConvergenceError, QuadratureError,
+                     as_int, as_real)
 from .special import (OracleConfig, POWER_SERIES_X_MAX, _bessel_j_series_vec,
                       bessel_j_half, bessel_j_power_series)
 
@@ -55,12 +56,15 @@ class QuadratureOptions:
     max_refinements: int = 12
 
     def __post_init__(self):
-        if not (isinstance(self.nodes, int) and self.nodes >= 8):
-            raise DomainError(f"nodes must be an integer >= 8, got {self.nodes!r}")
-        if not (isinstance(self.panels, int) and self.panels >= 1):
-            raise DomainError(f"panels must be a positive integer, got {self.panels!r}")
-        if not (self.target_tol > 0.0):
-            raise DomainError(f"target_tol must be positive, got {self.target_tol!r}")
+        object.__setattr__(self, "nodes", as_int(self.nodes, 8, "nodes must be an integer >= 8"))
+        object.__setattr__(self, "panels",
+                           as_int(self.panels, 1, "panels must be a positive integer"))
+        object.__setattr__(self, "target_tol",
+                           as_real(self.target_tol, "target_tol must be positive and finite",
+                                   gt=0.0))
+        object.__setattr__(self, "max_refinements",
+                           as_int(self.max_refinements, 0,
+                                  "max_refinements must be a nonnegative integer"))
 
 
 @dataclass(frozen=True)
@@ -199,13 +203,12 @@ def check_integral_identity(family, nu: float, b: float, y: float,
     fam = _as_family(family)
     if q is None:
         q = QuadratureOptions()
-    if not (isinstance(nu, (int, float)) and math.isfinite(nu)) or nu <= -1:
-        raise DomainError(f"identity requires nu > -1, got {nu!r}")
-    if not (isinstance(b, (int, float)) and b > 0.0):
-        raise DomainError(f"identity requires b > 0, got {b!r}")
-    lhs = _identity_lhs(fam, float(nu), float(b), float(y), q)
-    rhs = _identity_rhs(fam, float(nu), float(b), float(y))
-    return IdentityResidual(fam, float(nu), float(b), float(y), lhs, rhs, abs(lhs - rhs))
+    nu = as_real(nu, "identity requires nu > -1", gt=-1.0)
+    b = as_real(b, "identity requires finite b > 0", gt=0.0)
+    y = as_real(y, "identity requires finite y")
+    lhs = _identity_lhs(fam, nu, b, y, q)
+    rhs = _identity_rhs(fam, nu, b, y)
+    return IdentityResidual(fam, nu, b, y, lhs, rhs, abs(lhs - rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -257,16 +260,13 @@ def check_fourier_coefficient(family, nu: float, b: float, k: int,
     fam = _as_family(family)
     if q is None:
         q = QuadratureOptions()
-    if not isinstance(k, int) or k < 0:
-        raise DomainError(f"k must be a nonnegative integer, got {k!r}")
-    if not (isinstance(nu, (int, float)) and math.isfinite(nu)) or nu <= -1:
-        raise DomainError(f"Fourier check requires nu > -1, got {nu!r}")
-    if not (isinstance(b, (int, float)) and b > 0.0):
-        raise DomainError(f"Fourier check requires b > 0, got {b!r}")
+    k = as_int(k, 0, "k must be a nonnegative integer")
+    nu = as_real(nu, "Fourier check requires nu > -1", gt=-1.0)
+    b = as_real(b, "Fourier check requires finite b > 0", gt=0.0)
     y = k * math.pi
-    re, im = _fourier_integral(fam, float(nu), float(b), y, q)
-    rhs = 2.0 * _identity_rhs(fam, float(nu), float(b), y)
-    return IdentityResidual(fam, float(nu), float(b), y, re, rhs, math.hypot(re - rhs, im))
+    re, im = _fourier_integral(fam, nu, b, y, q)
+    rhs = 2.0 * _identity_rhs(fam, nu, b, y)
+    return IdentityResidual(fam, nu, b, y, re, rhs, math.hypot(re - rhs, im))
 
 
 def fourier_parity_residual(family, nu: float, b: float, k: int,
@@ -311,8 +311,8 @@ def terms_to_tolerance(spec: SeriesSpec, tol: float, k_cap: int = 10**7) -> int:
     NoConvergenceError past k_cap, and BoundNotApplicableError if even the
     largest probed K has no valid bound.
     """
-    if not (tol > 0.0):
-        raise DomainError(f"tol must be positive, got {tol!r}")
+    tol = as_real(tol, "tol must be positive and finite", gt=0.0)
+    k_cap = as_int(k_cap, 0, "k_cap must be a nonnegative integer")
 
     def bound_ok(K):
         try:
@@ -397,17 +397,18 @@ def uniform_convergence_proxy(family, n: int, x: float, b_grid, k_list,
     fam = _as_family(family)
     if oracle_cfg is None:
         oracle_cfg = OracleConfig(tol=1e-14)
-    sups = []
-    for K in k_list:
-        worst = 0.0
-        for b in b_grid:
-            spec = SeriesSpec(fam, n, b, x)
-            partial = math.fsum(_weighted_terms(spec, 1, K + 1))
-            j = bessel_j_power_series(n, b * x, oracle_cfg)
-            if fam is SeriesFamily.B:
-                limit = j / b if n % 2 == 1 else (2.0 * n) / (b * b) * j
-            else:
-                limit = b**n * j
-            worst = max(worst, abs(partial - limit))
-        sups.append(worst)
+    k_list = [as_int(K, 0, "K must be a nonnegative integer") for K in k_list]
+    k_top = max(k_list, default=0)
+    sups = [0.0] * len(k_list)
+    for b in b_grid:
+        spec = SeriesSpec(fam, n, b, x)
+        # one pass per b: the terms are elementwise and fsum is exact, so
+        # each prefix sum equals the K-term partial sum summed on its own
+        terms = _weighted_terms(spec, 1, k_top + 1)
+        j = bessel_j_power_series(spec.n, spec.b * spec.x, oracle_cfg)
+        if fam is SeriesFamily.B:
+            limit = j / spec.b if spec.n % 2 == 1 else (2.0 * spec.n) / (spec.b * spec.b) * j
+        else:
+            limit = spec.b**spec.n * j
+        sups = [max(worst, abs(math.fsum(terms[:K]) - limit)) for worst, K in zip(sups, k_list)]
     return sups
