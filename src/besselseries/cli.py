@@ -17,7 +17,7 @@ from .engine import (EvalOptions, SeriesFamily, SeriesSpec, eval_at_b1,
                      eval_j0_variant, eval_series)
 from .errors import (BoundNotApplicableError, DomainError, NoConvergenceError,
                      QuadratureError)
-from .special import OracleConfig, bessel_j_power_series
+from .special import OracleConfig
 from .trig import cos_series, sin_series_1, sin_series_2
 from . import verify as _verify
 
@@ -59,11 +59,6 @@ def _opts_from(args):
     return EvalOptions(mode=mode, k_max=k_max, tol=args.tol)
 
 
-def _oracle_j(n, x):
-    sign = -1.0 if (x < 0 and n % 2 == 1) else 1.0
-    return sign * bessel_j_power_series(n, abs(x), OracleConfig(tol=1e-14))
-
-
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------
@@ -93,7 +88,8 @@ def cmd_eval(args) -> int:
               "expect amplified error", file=sys.stderr)
     if args.check:
         target = args.x if args.family in ("b1", "j0var") else b * args.x
-        oracle = _oracle_j(0 if args.family == "j0var" else args.n, target)
+        oracle = _verify._oracle_j(0 if args.family == "j0var" else args.n, target,
+                                   OracleConfig(tol=1e-14))
         fields += [("oracle", oracle), ("abs_error", abs(res.bessel_value - oracle))]
 
     if args.format == "json":
@@ -148,7 +144,7 @@ def cmd_table(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _verify_identity(threshold):
+def _verify_identity():
     q = _verify.QuadratureOptions()
     rows = []
     for fam in ("A", "B", "C"):
@@ -157,10 +153,10 @@ def _verify_identity(threshold):
                 for y in (0.0, 1.0, math.pi, 5.0):
                     r = _verify.check_integral_identity(fam, nu, b, y, q)
                     rows.append((r.residual, f"identity {fam} nu={nu} b={b} y={_fmt(y)}"))
-    return rows, threshold
+    return rows
 
 
-def _verify_fourier(threshold):
+def _verify_fourier():
     q = _verify.QuadratureOptions()
     rows = []
     for fam in ("A", "B", "C"):
@@ -169,10 +165,10 @@ def _verify_fourier(threshold):
                 for k in range(0, 9):
                     r = _verify.check_fourier_coefficient(fam, nu, b, k, q)
                     rows.append((r.residual, f"fourier {fam} nu={nu} b={b} k={k}"))
-    return rows, threshold
+    return rows
 
 
-def _verify_decay(threshold):
+def _verify_decay():
     rows = []
     k = 10**4
     for fam in ("A", "B", "C"):
@@ -182,7 +178,7 @@ def _verify_decay(threshold):
             for x in (1.0, 5.0):
                 for kk, ratio in _verify.decay_ratio_study(fam, n, x, [k]):
                     rows.append((abs(ratio - 1.0), f"decay {fam} n={n} x={x} k={kk}"))
-    return rows, threshold
+    return rows
 
 
 def cmd_verify(args) -> int:
@@ -195,7 +191,7 @@ def cmd_verify(args) -> int:
     failures = 0
     for name in names:
         fn, threshold = suites[name]
-        rows, threshold = fn(threshold)
+        rows = fn()
         worst = sorted(rows, reverse=True)[:5]
         bad = [r for r in rows if r[0] >= threshold]
         failures += len(bad)

@@ -12,8 +12,13 @@ B = sqrt(b^2 + y^2):
   (C) int_0^1 x^(nu+1) J_nu(bx) / sqrt(1-x^2) cos(y sqrt(1-x^2)) dx
         = sqrt(pi/2) b^nu B^(-nu-1/2) J_{nu+1/2}(B)
 
-and their doubled forms on t in [-1, 1], which read as Fourier
-coefficients at y = k pi.
+With t = sqrt(1-x^2) and s = sqrt(1-t^2), each left side is the real
+part of the half-range Fourier integral int_0^1 F_nu(b, t) e^(i y t) dt,
+where F_nu(b, t) is -i t s^nu J_nu(bs) (A), J_nu(bs) / s (B) or
+s^nu J_nu(bs) (C).  Over t in [-1, 1] the same integral is the Fourier
+coefficient at y = k pi, twice the identity's right side.  One function
+computes it on either range, so the identity, Fourier and parity checks
+share a single integrand.
 """
 
 from __future__ import annotations
@@ -117,7 +122,7 @@ def _panel_quad(f, a, b, nodes, panels):
     half = 0.5 * (edges[1:] - edges[:-1])
     pts = (mids[:, None] + half[:, None] * xs[None, :]).ravel()
     vals = f(pts).reshape(panels, nodes)
-    return float(np.sum(half * (vals * ws[None, :]).sum(axis=1)))
+    return np.sum(half * (vals * ws[None, :]).sum(axis=1)).item()
 
 
 def _refine_quad(f, a, b, q: QuadratureOptions, panel_scale: int = 1):
@@ -162,39 +167,37 @@ def _identity_rhs(family, nu, b, y):
 
 
 # ---------------------------------------------------------------------------
-# integral identities
+# identity and Fourier checks: one coefficient integral
 # ---------------------------------------------------------------------------
 
-def _identity_lhs(family, nu, b, y, q):
-    """Quadrature of the left side after x = sin(theta).
+def _coefficient_integral(family, nu, b, y, q, hi):
+    """Complex integral of F_nu(b, t) e^(i y t) dt after t = cos(theta),
+    theta in [0, hi]: hi = pi/2 gives the identity (t in [0, 1]; its left
+    side is the real part), hi = pi the Fourier coefficient (t in [-1, 1]).
 
-    The substitution removes the 1/sqrt(1-x^2) endpoint factor and makes
-    the A/C integrands smooth (they contain x^(nu+1) J_nu(bx)
-    = x^(2nu+1) * entire(x^2), and 2nu+1 is integral on the supported
-    grid).  Family B keeps a sin(theta)^nu factor, so for fractional nu a
-    second substitution theta = (pi/2) sin^2(u) is applied; it clusters
-    quadratically at both ends and restores spectral convergence.
+    With s = sin(theta), the integrand is s^(nu+1) J_nu(bs) e^(iyt) for
+    family C and the same times -i t for family A; both are smooth, since
+    s^(nu+1) J_nu(bs) = s^(2nu+1) * entire(s^2) and 2nu+1 is integral on
+    the supported grid.  Family B's integrand J_nu(bs) e^(iyt) keeps a
+    bare s^nu factor, so for fractional nu a second substitution
+    theta = hi sin^2(u) clusters quadratically at both ends and restores
+    spectral convergence.
     """
     scale = max(1, math.ceil(abs(y) / math.pi))
-    if family is SeriesFamily.A:
-        def f(theta):
-            s = np.sin(theta)
-            return (s ** (nu + 1.0) * _bessel_j_series_vec(nu, b * s)
-                    * np.sin(y * np.cos(theta)) * np.cos(theta))
-        return _refine_quad(f, 0.0, math.pi / 2.0, q, scale)
-    if family is SeriesFamily.C:
-        def f(theta):
-            s = np.sin(theta)
-            return (s ** (nu + 1.0) * _bessel_j_series_vec(nu, b * s)
-                    * np.cos(y * np.cos(theta)))
-        return _refine_quad(f, 0.0, math.pi / 2.0, q, scale)
 
-    def f(u):
-        theta = (math.pi / 2.0) * np.sin(u) ** 2
-        jac = (math.pi / 2.0) * np.sin(2.0 * u)
+    def f(theta):
         s = np.sin(theta)
-        return _bessel_j_series_vec(nu, b * s) * np.cos(y * np.cos(theta)) * jac
-    return _refine_quad(f, 0.0, math.pi / 2.0, q, scale)
+        t = np.cos(theta)
+        v = _bessel_j_series_vec(nu, b * s) * np.exp(1j * y * t)
+        if family is SeriesFamily.B:
+            return v
+        v = s ** (nu + 1.0) * v
+        return -1j * t * v if family is SeriesFamily.A else v
+
+    if family is SeriesFamily.B:
+        return _refine_quad(lambda u: f(hi * np.sin(u) ** 2) * hi * np.sin(2.0 * u),
+                            0.0, math.pi / 2.0, q, scale)
+    return _refine_quad(f, 0.0, hi, q, scale)
 
 
 def check_integral_identity(family, nu: float, b: float, y: float,
@@ -206,50 +209,17 @@ def check_integral_identity(family, nu: float, b: float, y: float,
     nu = as_real(nu, "identity requires nu > -1", gt=-1.0)
     b = as_real(b, "identity requires finite b > 0", gt=0.0)
     y = as_real(y, "identity requires finite y")
-    lhs = _identity_lhs(fam, nu, b, y, q)
+    lhs = _coefficient_integral(fam, nu, b, y, q, math.pi / 2.0).real
     rhs = _identity_rhs(fam, nu, b, y)
     return IdentityResidual(fam, nu, b, y, lhs, rhs, abs(lhs - rhs))
 
 
-# ---------------------------------------------------------------------------
-# Fourier coefficients
-# ---------------------------------------------------------------------------
-
-def _fourier_integral(family, nu, b, y, q, half_range=False):
-    """Complex integral of F_nu(b, t) e^(i y t) over t in [-1, 1] via
-    t = cos(theta); family B additionally clusters theta = pi sin^2(u).
-
-    half_range integrates t in [0, 1] only (used to verify the symmetry
-    factor between the single- and doubled-interval forms).
-    """
-    scale = max(1, math.ceil(abs(y) / math.pi))
-    hi = math.pi / 2.0 if half_range else math.pi
-
-    if family is SeriesFamily.B:
-        def parts(u):
-            theta = np.pi * np.sin(u) ** 2 if not half_range else (np.pi / 2.0) * np.sin(u) ** 2
-            jac = (np.pi if not half_range else np.pi / 2.0) * np.sin(2.0 * u)
-            s = np.sin(theta)
-            base = _bessel_j_series_vec(nu, b * s) * jac
-            t = np.cos(theta)
-            return base * np.cos(y * t), base * np.sin(y * t)
-        dom_hi = math.pi / 2.0
-    else:
-        def parts(theta):
-            s = np.sin(theta)
-            t = np.cos(theta)
-            if family is SeriesFamily.A:
-                # F = -i t (sqrt(1-t^2))^nu J_nu(b sqrt(1-t^2));
-                # real part couples to sin(y t), imaginary to -cos(y t)
-                base = t * s**nu * _bessel_j_series_vec(nu, b * s) * s
-                return base * np.sin(y * t), -base * np.cos(y * t)
-            base = s**nu * _bessel_j_series_vec(nu, b * s) * s
-            return base * np.cos(y * t), base * np.sin(y * t)
-        dom_hi = hi
-
-    re = _refine_quad(lambda v: parts(v)[0], 0.0, dom_hi, q, scale)
-    im = _refine_quad(lambda v: parts(v)[1], 0.0, dom_hi, q, scale)
-    return re, im
+def _fourier_args(family, nu, b, k):
+    fam = _as_family(family)
+    k = as_int(k, 0, "k must be a nonnegative integer")
+    nu = as_real(nu, "Fourier check requires nu > -1", gt=-1.0)
+    b = as_real(b, "Fourier check requires finite b > 0", gt=0.0)
+    return fam, nu, b, k * math.pi
 
 
 def check_fourier_coefficient(family, nu: float, b: float, k: int,
@@ -257,16 +227,12 @@ def check_fourier_coefficient(family, nu: float, b: float, k: int,
     """Residual between int_{-1}^{1} F_nu(b,t) e^(i k pi t) dt and the
     closed coefficient f_nu(b, k pi) (twice the single-interval identity
     right side)."""
-    fam = _as_family(family)
+    fam, nu, b, y = _fourier_args(family, nu, b, k)
     if q is None:
         q = QuadratureOptions()
-    k = as_int(k, 0, "k must be a nonnegative integer")
-    nu = as_real(nu, "Fourier check requires nu > -1", gt=-1.0)
-    b = as_real(b, "Fourier check requires finite b > 0", gt=0.0)
-    y = k * math.pi
-    re, im = _fourier_integral(fam, nu, b, y, q)
+    full = _coefficient_integral(fam, nu, b, y, q, math.pi)
     rhs = 2.0 * _identity_rhs(fam, nu, b, y)
-    return IdentityResidual(fam, nu, b, y, re, rhs, math.hypot(re - rhs, im))
+    return IdentityResidual(fam, nu, b, y, full.real, rhs, abs(full - rhs))
 
 
 def fourier_parity_residual(family, nu: float, b: float, k: int,
@@ -275,13 +241,12 @@ def fourier_parity_residual(family, nu: float, b: float, k: int,
     part (families B, C) or the odd-coupled real part (family A); checks
     numerically that extending the integration interval doubles the
     coefficient."""
-    fam = _as_family(family)
+    fam, nu, b, y = _fourier_args(family, nu, b, k)
     if q is None:
         q = QuadratureOptions()
-    y = k * math.pi
-    full_re, _ = _fourier_integral(fam, float(nu), float(b), y, q)
-    half_re, _ = _fourier_integral(fam, float(nu), float(b), y, q, half_range=True)
-    return abs(full_re - 2.0 * half_re)
+    full = _coefficient_integral(fam, nu, b, y, q, math.pi)
+    half = _coefficient_integral(fam, nu, b, y, q, math.pi / 2.0)
+    return abs(full.real - 2.0 * half.real)
 
 
 # ---------------------------------------------------------------------------
@@ -343,12 +308,14 @@ def terms_to_tolerance(spec: SeriesSpec, tol: float, k_cap: int = 10**7) -> int:
     return hi
 
 
-def _oracle_for(spec: SeriesSpec, oracle_cfg: OracleConfig):
-    arg = spec.b * abs(spec.x)
+def _oracle_j(n, z, oracle_cfg: OracleConfig):
+    """J_n(z) for signed z from the power-series reference, by
+    J_n(-z) = (-1)^n J_n(z)."""
+    arg = abs(z)
     if arg > POWER_SERIES_X_MAX:
         raise DomainError(f"oracle argument {arg} exceeds {POWER_SERIES_X_MAX}")
-    sign = -1.0 if (spec.x < 0 and spec.n % 2 == 1) else 1.0
-    return sign * bessel_j_power_series(spec.n, arg, oracle_cfg)
+    sign = -1.0 if (z < 0 and n % 2 == 1) else 1.0
+    return sign * bessel_j_power_series(n, arg, oracle_cfg)
 
 
 def sweep(grid, opts: EvalOptions | None = None,
@@ -369,7 +336,7 @@ def sweep(grid, opts: EvalOptions | None = None,
             rec.tail_bound = res.tail_bound
             rec.terms_used = res.terms_used
             rec.converged = res.converged
-            oracle = _oracle_for(spec, oracle_cfg)
+            oracle = _oracle_j(spec.n, spec.b * spec.x, oracle_cfg)
             rec.oracle = oracle
             if spec.family is SeriesFamily.B and spec.b == 0.0:
                 # recovered value is the b -> 0 limit, not J_n(0)

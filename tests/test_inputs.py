@@ -19,6 +19,7 @@ from besselseries import (DomainError, EvalOptions, HalfOrderIndex, OracleConfig
                           tail_bound, term_a, term_b, term_c, terms_to_tolerance,
                           uniform_convergence_proxy)
 from besselseries.engine import _weighted_terms
+from besselseries.verify import fourier_parity_residual
 
 FAST = EvalOptions("fixed_k", 16, 1e-3)
 SPEC = SeriesSpec("A", 1, 1.0, 1.3)
@@ -109,6 +110,10 @@ REJECTED = [
     (eval_j0_variant, (True,)),
     (log_gamma, (True,)),
     (term_c, (True, 1.0, 3)),
+    (fourier_parity_residual, ("C", 0.0, 0.5, True)),
+    (fourier_parity_residual, ("C", 0.0, 0.5, -1)),
+    (fourier_parity_residual, ("C", 0.0, 0.0, 1)),
+    (fourier_parity_residual, ("C", math.nan, 0.5, 1)),
 ]
 
 # (entry point, arguments with numpy scalars, the equal Python arguments)

@@ -17,6 +17,10 @@ class TestQuadratureCore:
         # 16-node Gauss is exact for degree-31 polynomials
         val = _panel_quad(lambda t: t**7 - 3 * t**2 + 1.0, 0.0, 2.0, 16, 1)
         assert val == pytest.approx(2.0**8 / 8 - 8.0 + 2.0, rel=1e-14)
+        # a complex integrand comes back as a Python complex, just as exact
+        val = _panel_quad(lambda t: (1 + 2j) * t**5 - 3j * t**2 + (0.5 - 1j), 0.0, 2.0, 16, 1)
+        assert isinstance(val, complex)
+        assert val == pytest.approx(35.0 / 3.0 + 34.0j / 3.0, rel=1e-14)
 
     def test_panel_doubling_self_consistency(self):
         q = QuadratureOptions(nodes=24, panels=1, target_tol=1e-12)
