@@ -9,7 +9,7 @@ series, quadrature verification of the source integral identities, and a
 command-line interface.
 """
 
-from .engine import (EvalOptions, EvalResult, SeriesFamily, SeriesSpec,
+from .engine import (SERIES_X_MAX, EvalOptions, EvalResult, SeriesFamily, SeriesSpec,
                      asymptotic_term, bessel_j, eps, eval_at_b1,
                      eval_j0_variant, eval_series, g_a, g_bc, phi,
                      tail_bound, term_a, term_b, term_c)
@@ -27,7 +27,7 @@ from .verify import (ConvergenceRecord, IdentityResidual, QuadratureOptions,
 __version__ = "0.1.0"
 
 __all__ = [
-    "SeriesFamily", "SeriesSpec", "EvalOptions", "EvalResult",
+    "SERIES_X_MAX", "SeriesFamily", "SeriesSpec", "EvalOptions", "EvalResult",
     "phi", "eps", "g_a", "g_bc", "term_a", "term_b", "term_c",
     "eval_series", "eval_at_b1", "eval_j0_variant", "bessel_j",
     "asymptotic_term", "tail_bound",

@@ -29,6 +29,7 @@ from .errors import BoundNotApplicableError, DomainError, as_int, as_real
 from .special import _spherical_jn_vec
 
 __all__ = [
+    "SERIES_X_MAX",
     "SeriesFamily",
     "SeriesSpec",
     "EvalOptions",
@@ -51,6 +52,10 @@ __all__ = [
 _BLOCK = 16384
 _WINDOW = 48  # forward differences available to the Euler-Abel tail
 _FOUR_THIRDS = 4.0 / 3.0
+
+# Largest |x| the series accept: the J_0 variant's psi^3 overflows from about 4.9e102
+SERIES_X_MAX = 1e100
+_X_RULE = f"argument x must be finite with |x| <= {SERIES_X_MAX:g}"
 
 
 class SeriesFamily(str, Enum):
@@ -85,7 +90,7 @@ class SeriesSpec:
         object.__setattr__(self, "family", _as_family(self.family))
         object.__setattr__(self, "n", as_int(self.n, 0, "order n must be a nonnegative integer"))
         object.__setattr__(self, "b", as_real(self.b, "scale b must lie in [0, 1]", ge=0.0, le=1.0))
-        object.__setattr__(self, "x", as_real(self.x, "argument x must be finite"))
+        object.__setattr__(self, "x", as_real(self.x, _X_RULE, ge=-SERIES_X_MAX, le=SERIES_X_MAX))
         if self.family is SeriesFamily.A:
             if self.b == 0.0:
                 raise DomainError("family A requires b > 0")
@@ -269,7 +274,7 @@ def _weights_vec(family, b, ks):
 
 def _term(term_vec, n, x, k, n_min, k_min, op):
     n = as_int(n, n_min, f"{op} requires integer n >= {n_min}")
-    x = as_real(x, f"{op} requires finite x >= 0", ge=0.0)
+    x = as_real(x, f"{op} requires 0 <= x <= {SERIES_X_MAX:g}", ge=0.0, le=SERIES_X_MAX)
     k = as_int(k, k_min, f"{op} requires integer k >= {k_min}")
     return float(term_vec(n, x, np.array([float(k)]))[0])
 
@@ -341,8 +346,8 @@ def _sum(block, opts: EvalOptions, x: float, lo: int, thr: float,
     thr; their sum is the tail estimate.  Otherwise K0 (first past 4x/pi,
     where g is smooth) doubles.  k_max caps every term evaluated, the
     _WINDOW differences included; past it, or at z = 1, the raw partial
-    sum of k_max terms is returned as in fixed_k mode, with |t_k_max| as
-    tail, and adaptive mode reports converged = False.
+    sum of k_max terms is returned as in fixed_k mode, with |t_k_max|, from
+    the same kernel pass, as tail, and adaptive mode reports converged = False.
     """
     smooth = opts.mode == "adaptive" and phi < math.pi
     ts, gs = [], []
@@ -374,14 +379,15 @@ def _sum(block, opts: EvalOptions, x: float, lo: int, thr: float,
                 run, est = (run + 1, est + size) if size < thr else (0, 0.0)
                 if run == 3:
                     tail = pre * acc
-                    return (math.fsum(t[:k0]) + (tail.imag if imag else tail.real),
+                    return (math.fsum(t[:k0].tolist()) + (tail.imag if imag else tail.real),
                             k0 + _WINDOW, est, True)
                 d = np.diff(d)
                 rp *= r
             k0 *= 2
-    t = upto(opts.k_max)
-    tail = abs(float(block(opts.k_max, opts.k_max + 1, False)[0][0]))
-    return math.fsum(t), opts.k_max, tail, opts.mode == "fixed_k" and tail <= opts.tol
+    t = upto(opts.k_max + 1)
+    tail = abs(float(t[opts.k_max]))
+    return (math.fsum(t[:opts.k_max].tolist()), opts.k_max, tail,
+            opts.mode == "fixed_k" and tail <= opts.tol)
 
 
 def _recover_bessel(spec: SeriesSpec, value: float) -> float:
@@ -468,7 +474,7 @@ def eval_j0_variant(x: float, opts: EvalOptions | None = None) -> EvalResult:
     """
     if opts is None:
         opts = EvalOptions()
-    x = as_real(x, "argument x must be finite")
+    x = as_real(x, _X_RULE, ge=-SERIES_X_MAX, le=SERIES_X_MAX)
     xs = math.sqrt(_FOUR_THIRDS * x * x)  # 2|x|/sqrt(3)
 
     def block(i0, i1, smooth):

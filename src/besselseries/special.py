@@ -93,23 +93,46 @@ def _jn_upward(m, z, sz, cz):
     return j
 
 
+_MACLAURIN_Z = 0.5  # j_m by Maclaurin below it, else upward or Miller
+_MILLER_SEED, _MILLER_HUGE = 1e-30, 1e250  # Miller's start and rescale level
+
+
+def _miller_start(m):
+    # m + 16 + ceil(sqrt(40 m)), see _jn_miller
+    return m + 16 + math.isqrt(40 * m) + 1
+
+
+def _lowest_rescaling_order():
+    """Lowest m at which Miller can pass _MILLER_HUGE: |g_(l-1)| <= ((2l+1)/z + 1)
+    max(|g_l|, |g_(l+1)|), so for z >= _MACLAURIN_Z every g stays below
+    _MILLER_SEED * prod_(l <= start) ((2l+1)/_MACLAURIN_Z + 1), rising in m."""
+    m = 0
+    while _MILLER_SEED * math.prod((2 * l + 1) / _MACLAURIN_Z + 1
+                                   for l in range(1, _miller_start(m) + 1)) <= _MILLER_HUGE:
+        m += 1
+    return m
+
+
+_MILLER_RESCALE_M = _lowest_rescaling_order()
+
+
 def _jn_miller(m, z, sz, cz):
     """Downward (Miller) recurrence normalized against j_0 = sin z / z, or
     against j_1 where |j_1| > |j_0| (near and at the zeros of j_0).
 
     Start order m + 16 + ceil(sqrt(40 m)) keeps the relative seed error
-    below 1e-16 after normalization for z in [0.5, m + 1).
+    below 1e-16 after normalization for z in [0.5, m + 1).  The overflow
+    scan runs only for m >= _MILLER_RESCALE_M; below it no g can fire it.
     """
-    start = m + 16 + math.isqrt(40 * m) + 1
+    scan = m >= _MILLER_RESCALE_M
     gp = np.zeros_like(z)
-    g = np.full_like(z, 1e-30)
+    g = np.full_like(z, _MILLER_SEED)
     gm = None
-    for l in range(start, 0, -1):
+    for l in range(_miller_start(m), 0, -1):
         gp, g = g, (2 * l + 1) / z * g - gp
         if l - 1 == m:
             gm = g.copy()
-        big = np.abs(g) > 1e250
-        if big.any():
+        if scan and (big := np.abs(g) > _MILLER_HUGE).any():
             # homogeneous recurrence: rescaling leaves ratios intact
             gp[big] *= 1e-250
             g[big] *= 1e-250
@@ -130,7 +153,7 @@ def _spherical_jn_vec(m, z, sin_z=None, cos_z=None):
     """
     z = np.asarray(z, dtype=np.float64)
     out = np.empty_like(z)
-    small = z < 0.5
+    small = z < _MACLAURIN_Z
     if small.any():
         out[small] = _jn_maclaurin(m, z[small])
     big = ~small

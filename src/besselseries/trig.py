@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .engine import _phase
+from .engine import _X_RULE, SERIES_X_MAX, _phase
 from .errors import as_int, as_real
 
 __all__ = ["cos_series", "sin_series_1", "sin_series_2"]
@@ -34,7 +34,7 @@ __all__ = ["cos_series", "sin_series_1", "sin_series_2"]
 
 def _split(x, K):
     """The checked x as a float, and phi_k, delta_k, (-1)^k for k = 1..K."""
-    x = as_real(x, "x must be finite")
+    x = as_real(x, _X_RULE, ge=-SERIES_X_MAX, le=SERIES_X_MAX)
     ks = np.arange(1, as_int(K, 1, "K must be a positive integer") + 1, dtype=np.float64)
     _, ph, delta, sgn = _phase(x, ks)
     return x, ph, delta, sgn
@@ -47,7 +47,7 @@ def cos_series(x: float, K: int) -> float:
     x^4/(4 pi^2 K).
     """
     _, _, d, _ = _split(x, K)
-    return 2.0 * math.fsum(2.0 * np.sin(d / 2.0) ** 2)
+    return 2.0 * math.fsum((2.0 * np.sin(d / 2.0) ** 2).tolist())
 
 
 def sin_series_1(x: float, K: int) -> float:
@@ -58,7 +58,7 @@ def sin_series_1(x: float, K: int) -> float:
     the continuous limit of the left side).
     """
     _, ph, d, _ = _split(x, K)
-    return 2.0 * math.fsum(np.sin(d) / ph)
+    return 2.0 * math.fsum((np.sin(d) / ph).tolist())
 
 
 def sin_series_2(x: float, K: int) -> float:
@@ -73,4 +73,4 @@ def sin_series_2(x: float, K: int) -> float:
     """
     x, ph, d, sgn = _split(x, K)
     bracket = 2.0 * np.sin(d / 2.0) ** 2 + (x * x / (ph * ph)) * (np.cos(d) - np.sin(d) / ph)
-    return -2.0 * math.fsum(sgn * bracket)
+    return -2.0 * math.fsum((sgn * bracket).tolist())

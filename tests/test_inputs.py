@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 
 import besselseries
-from besselseries import (DomainError, EvalOptions, HalfOrderIndex, OracleConfig,
+from besselseries import (SERIES_X_MAX, DomainError, EvalOptions, HalfOrderIndex, OracleConfig,
                           QuadratureOptions, SeriesFamily, SeriesSpec, asymptotic_term,
                           bessel_j, bessel_j_half, bessel_j_power_series,
                           check_fourier_coefficient, check_integral_identity, cos_series,
-                          decay_ratio_study, eps, eval_at_b1, eval_j0_variant, g_a, g_bc,
-                          log_gamma, phi, sin_series_1, sin_series_2, spherical_jn,
+                          decay_ratio_study, eps, eval_at_b1, eval_j0_variant, eval_series,
+                          g_a, g_bc, log_gamma, phi, sin_series_1, sin_series_2, spherical_jn,
                           tail_bound, term_a, term_b, term_c, terms_to_tolerance,
                           uniform_convergence_proxy)
 from besselseries.engine import _weighted_terms
@@ -114,6 +114,17 @@ REJECTED = [
     (fourier_parity_residual, ("C", 0.0, 0.5, -1)),
     (fourier_parity_residual, ("C", 0.0, 0.0, 1)),
     (fourier_parity_residual, ("C", math.nan, 0.5, 1)),
+    (SeriesSpec, ("C", 1, 0.5, 1e200)),
+    (SeriesSpec, ("A", 2, 0.5, -1e200)),
+    (eval_at_b1, (2, 1e200)),
+    (eval_j0_variant, (1e200,)),
+    (bessel_j, (1, 1e200, "C", 0.5)),
+    (term_a, (1, 1e200, 3)),
+    (term_b, (1, 1e200, 3)),
+    (term_c, (1, 1e200, 3)),
+    (cos_series, (1e200, 10)),
+    (sin_series_1, (-1e200, 10)),
+    (sin_series_2, (1e200, 10)),
 ]
 
 # (entry point, arguments with numpy scalars, the equal Python arguments)
@@ -142,6 +153,19 @@ def test_rejected_inputs(fn, args):
                          ids=[_call_id(fn, args) for fn, args, _ in ACCEPTED])
 def test_accepted_inputs(fn, args, same_as):
     assert fn(*args) == fn(*same_as)
+
+
+@pytest.mark.parametrize("x", [SERIES_X_MAX, -SERIES_X_MAX])
+def test_largest_argument_gives_finite_sums(x):
+    # every series term stays finite up to |x| = SERIES_X_MAX (the suite
+    # turns an overflow warning into an error)
+    values = [eval_series(SeriesSpec(f, n, b, x), EvalOptions("fixed_k", k)).value
+              for f, n, b in [("A", 3, 0.5), ("B", 5, 0.7), ("B", 6, 0.3), ("C", 8, 0.9)]
+              for k in (1, 64)]
+    values += [eval_j0_variant(x, EvalOptions("fixed_k", 64)).value,
+               cos_series(x, 64), sin_series_1(x, 64), sin_series_2(x, 64)]
+    values += [t(2, abs(x), 3) for t in (term_a, term_b, term_c)]
+    assert all(math.isfinite(v) for v in values)
 
 
 @pytest.mark.parametrize("family,n", [("A", 1), ("B", 1), ("B", 2), ("C", 0)])

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from besselseries import (DomainError, HalfOrderIndex, NoConvergenceError,
                           OracleConfig, bessel_j_half, bessel_j_power_series,
                           log_gamma, spherical_jn)
-from besselseries.special import _bessel_j_series_vec, _spherical_jn_vec
+from besselseries.special import (_MILLER_RESCALE_M, _bessel_j_series_vec, _miller_start,
+                                  _spherical_jn_vec)
 
 # j_m(z) frozen at 22 digits
 SPHERICAL_REFS = [
@@ -111,6 +112,32 @@ class TestSphericalJn:
                 got = _spherical_jn_vec(m, np.array([k * math.pi]), np.array([0.0]),
                                         np.array([(-1.0) ** k]))[0]
                 assert got == pytest.approx(spherical_jn(m, k * math.pi), rel=1e-13)
+
+    @pytest.mark.parametrize("m", [57, 58, 64])
+    @pytest.mark.parametrize("z", [0.5, 0.75, 1.0, 2.0])
+    def test_miller_rescale_branch(self, m, z):
+        # the overflow rescale of the downward recurrence first fires at
+        # m = 58 for z = 0.5 (and at m = 64 only for z = 0.5 of these);
+        # both sides of that order against 40-digit mpmath
+        import mpmath
+        with mpmath.workdps(40):
+            ref = float(mpmath.sqrt(mpmath.pi / (2 * z)) * mpmath.besselj(m + 0.5, z))
+        assert spherical_jn(m, z) == pytest.approx(ref, rel=1e-13)
+
+    def test_miller_rescale_order_is_tight(self):
+        # below _MILLER_RESCALE_M the growth bound keeps the unscaled
+        # recurrence under 1e250 and the overflow scan is skipped; at it,
+        # z = 0.5 (the smallest Miller argument) does pass 1e250
+        def peak(m, z):
+            gp, g, top = 0.0, 1e-30, 1e-30
+            for l in range(_miller_start(m), 0, -1):
+                gp, g = g, (2 * l + 1) / z * g - gp
+                top = max(top, abs(g))
+            return top
+        m = _MILLER_RESCALE_M
+        assert m == 58
+        assert peak(m - 1, 0.5) < 1e250 < peak(m, 0.5)
+        assert max(peak(k, z) for k in range(m) for z in (0.5, 0.75, 3.0)) < 1e250
 
     def test_invalid_arguments(self):
         with pytest.raises(DomainError):
