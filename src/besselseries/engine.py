@@ -393,9 +393,6 @@ def _sum(block, opts: EvalOptions, x: float, lo: int, thr: float,
 def _recover_bessel(spec: SeriesSpec, value: float) -> float:
     fam, n, b = spec.family, spec.n, spec.b
     if fam is SeriesFamily.B:
-        if b == 0.0:
-            # left side exists only as the b -> 0 limit; the sum equals it
-            return value
         return value * b if n % 2 == 1 else value * b * b / (2.0 * n)
     return value / b**n
 
@@ -504,57 +501,48 @@ def bessel_j(n: int, x: float, family, b: float = 1.0,
 # large-k term behaviour
 # ---------------------------------------------------------------------------
 
-def asymptotic_term(family, n: int, x: float, k: int) -> float:
-    """Closed asymptotic form of the unmodulated k-th term as k -> infinity.
+def _lead(nu: int, s: float, y: float) -> float:
+    """Leading DLMF 10.49.2 form of (-1)^k y j_nu(k pi + s), y = k pi, s = O(1/y):
+    -sin(nu pi/2) for odd nu, cos(nu pi/2) (s + nu(nu+1)/(2y)) for even nu."""
+    sign = (-1.0) ** (nu // 2)  # sin(nu pi/2) for odd nu, cos(nu pi/2) for even
+    return -sign if nu % 2 else sign * (s + nu * (nu + 1) / (2.0 * y))
 
-    Family A, odd n: both the sin part (through delta ~ x^2/(2 k pi)) and
-    the curvature correction (n+1)(n+2)/(2 phi) of j_{n+1} enter at the
-    same order, giving coefficient 1 on
-    (-1)^(k+m+1) (x/(k pi))^(2m+1) [x^2 + (2m+2)(2m+3)] / (k pi).
+
+def asymptotic_term(family, n: int, x: float, k: int) -> float:
+    """Leading order of the unmodulated k-th term as k -> infinity: each
+    kernel with j_nu(phi_k) replaced by _lead at y = k pi, u = x^2/(4y):
+
+        A:  2 (-1)^k (x/y)^n _lead(n+1, 2u, y)
+        C:  2 (-1)^k (x/y)^n _lead(n, 2u, y) / y
+        B:  x P(m) for n = 2m+1, x^2 [P(m-1) + P(m)] for n = 2m, with
+            P(m) = u^m/(2m+1)!! (-1)^k _lead(m, u, y) / y for j_m(u-) j_m(u+).
+
+    Raises DomainError where the value overflows a float.
     """
     fam = _as_family(family)
-    n = as_int(n, 0, "order n must be a nonnegative integer")
+    lo = 1 if fam is SeriesFamily.B else 0
+    n = as_int(n, lo, f"family {fam.value} terms require integer n >= {lo}")
     k = as_int(k, 1, "asymptotic_term requires integer k >= 1")
     x = as_real(x, "asymptotic_term requires finite x >= 0", ge=0.0)
-    y = k * math.pi
-    if fam is SeriesFamily.A:
-        if n % 2 == 0:
+    y, sgn = k * math.pi, (-1.0) ** k
+    u = x * x / (4.0 * y)
+
+    def p(m):
+        return u**m / math.prod(range(1, 2 * m + 2, 2)) * sgn * _lead(m, u, y) / y
+
+    try:
+        if fam is SeriesFamily.B:
+            # for even m = n/2, P(m) is two orders below P(m-1): leave it out
             m = n // 2
-            return 2.0 * (-1.0) ** (k + m + 1) * (x / y) ** (2 * m)
-        m = (n - 1) // 2
-        return ((-1.0) ** (k + m + 1) / y * (x / y) ** (2 * m + 1)
-                * (x * x + (2 * m + 2) * (2 * m + 3)))
-    if fam is SeriesFamily.C:
-        if n % 2 == 0:
-            m = n // 2
-            return ((-1.0) ** (k + m) / (y * y) * (x / y) ** (2 * m)
-                    * (x * x + 2 * m * (2 * m + 1)))
-        m = (n - 1) // 2
-        return 2.0 * (-1.0) ** (k + m + 1) / y * (x / y) ** (2 * m + 1)
-    if n == 0:
-        raise DomainError("family B terms require n >= 1")
-    if n % 4 == 1:
-        m = (n - 1) // 4
-        return ((-1.0) ** (k + m) * x ** (2 * m - 1) / 2.0 ** (2 * m + 1)
-                * (x / y) ** (2 * m + 2)
-                * math.factorial(2 * m + 1) / math.factorial(4 * m + 2)
-                * (x * x + 4 * m * (2 * m + 1)))
-    if n % 4 == 2:
-        m = (n - 2) // 4
-        return ((-1.0) ** (k + m) * x ** (2 * m) / 2.0 ** (2 * m)
-                * (x / y) ** (2 * m + 2)
-                * (2 * m + 1) * math.factorial(2 * m + 1)
-                / ((4 * m + 3) * math.factorial(4 * m + 2))
-                * (x * x + 2 * m * (4 * m + 3)))
-    if n % 4 == 3:
-        m = (n - 3) // 4
-        return ((-1.0) ** (k + m + 1) * x ** (2 * m + 1) / 2.0 ** (2 * m)
-                * (x / y) ** (2 * m + 2)
-                * math.factorial(2 * m + 2) / math.factorial(4 * m + 4))
-    m = (n - 4) // 4
-    return ((-1.0) ** (k + m + 1) * x ** (2 * m + 2) / 2.0 ** (2 * m)
-            * (x / y) ** (2 * m + 2)
-            * math.factorial(2 * m + 2) / math.factorial(4 * m + 4))
+            v = x * p(m) if n % 2 else x * x * (p(m - 1) + (p(m) if m % 2 else 0.0))
+        else:
+            lead = _lead(n + 1, 2.0 * u, y) if fam is SeriesFamily.A else _lead(n, 2.0 * u, y) / y
+            v = 2.0 * sgn * (x / y) ** n * lead
+    except OverflowError:
+        v = math.inf
+    if not math.isfinite(v):
+        raise DomainError(f"asymptotic_term({fam.value}, {n}, {x!r}, {k}) overflows a float")
+    return v
 
 
 def tail_bound(spec: SeriesSpec, K: int) -> float:

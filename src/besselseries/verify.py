@@ -263,6 +263,9 @@ def decay_ratio_study(family, n: int, x: float, k_list) -> list[tuple[int, float
     for k in k_list:
         t = _TERM_SCALAR[fam](n, x, k)
         a = asymptotic_term(fam, n, x, k)
+        if a == 0.0:
+            raise DomainError(f"the leading term of {fam.value}, n = {n} is 0 at x = {x!r}, "
+                              f"k = {k}; the decay ratio is undefined")
         out.append((k, t / a))
     return out
 

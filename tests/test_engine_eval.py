@@ -217,6 +217,88 @@ class TestBesselJ:
             bessel_j(1, 1.0, "B", 0.0)
 
 
+# asymptotic_term values of the hand-written n mod 2 / n mod 4 case table,
+# as float.hex at (x, k) in (0.3, 3), (0.3, 10^4), (13.7, 3), (13.7, 10^4)
+ASYMPTOTIC_GOLDENS = {
+    ("A", 0): ("0x1.0000000000000p+1", "-0x1.0000000000000p+1",
+              "0x1.0000000000000p+1", "-0x1.0000000000000p+1"),
+    ("A", 1): ("0x1.50fd48e267ac7p-6", "-0x1.fcd64214be2abp-30",
+              "0x1.ddf9b01f8637cp+4", "-0x1.68dbfb2ad3117p-19"),
+    ("A", 2): ("-0x1.099b7ece30ecdp-9", "0x1.910dc296061f2p-33",
+              "-0x1.0e76af7fb603ap+2", "0x1.9862ea1a20c2ep-22"),
+    ("A", 3): ("-0x1.2059742f1e821p-14", "0x1.48b5f3e4e48f8p-61",
+              "-0x1.0ebd7ebb175e3p+6", "0x1.34a2ff9989de2p-41"),
+    ("A", 4): ("0x1.13934af9adc92p-19", "-0x1.3a260e2bab28fp-66",
+              "0x1.1dbe9137a5fb4p+3", "-0x1.45bdb835ad411p-44"),
+    ("A", 5): ("0x1.39646cc45778bp-23", "-0x1.0db8b28e13b2ep-93",
+              "0x1.3c55edf1c4298p+7", "-0x1.104133c2876bfp-63"),
+    ("A", 6): ("-0x1.1deadb4b4e292p-29", "0x1.ec267eea0fdf4p-100",
+              "-0x1.2de376e372ae1p+4", "0x1.03d21d0b5d00cp-66"),
+    ("A", 7): ("-0x1.167469df21cb9p-32", "0x1.69dcf134c0795p-126",
+              "-0x1.79dbfe97111b1p+8", "0x1.eb0b170381bc8p-86"),
+    ("A", 8): ("0x1.28a5c7d39c10fp-39", "-0x1.8181606b55a00p-133",
+              "0x1.3ef1dd31c88bep+5", "-0x1.9e7b4251cdb63p-89"),
+    ("A", 9): ("0x1.b93129dd610fdp-42", "-0x1.b0dcbc74448b6p-159",
+              "0x1.c99f8d486224bp+9", "-0x1.c0fbb500c8b37p-108"),
+    ("A", 10): ("-0x1.33c7cb2a901f8p-49", "0x1.2df8304ffe556p-166",
+               "-0x1.50f6f56ce96c2p+6", "0x1.4a9a4bf45dacdp-111"),
+    ("A", 11): ("-0x1.4481fd1aca0e5p-51", "0x1.e0bd3cb04086bp-192",
+               "-0x1.1717eb4562554p+11", "0x1.9d75e5bcd6edbp-130"),
+    ("A", 12): ("0x1.3f54c3bb4d8c7p-59", "-0x1.d911fececcb51p-200",
+               "0x1.6400afaeea413p+7", "-0x1.07b2d338a81fbp-133"),
+    ("B", 1): ("-0x1.3eba982aa11c3p-14", "0x1.e143b64da0f23p-38",
+              "-0x1.cf2b3fbde7b2fp+2", "0x1.5dae4ba65f407p-21"),
+    ("B", 2): ("-0x1.fdf759ddce938p-17", "0x1.8102f83e1a5b4p-40",
+              "-0x1.08646bda45540p+6", "0x1.8f380dd5687aap-18"),
+    ("B", 3): ("0x1.a8f8cae3817afp-16", "-0x1.40d7cede6b4c1p-39",
+              "0x1.34c77fd3efccbp+1", "-0x1.d23dba3329ab4p-23"),
+    ("B", 4): ("0x1.fdf759ddce938p-18", "-0x1.8102f83e1a5b5p-41",
+              "0x1.08646bda45540p+5", "-0x1.8f380dd5687a9p-19"),
+    ("B", 5): ("0x1.0a8957776db7bp-28", "-0x1.2fd83641955dep-75",
+              "0x1.972625d7be3b6p+3", "-0x1.d0239f65b9187p-44"),
+    ("B", 6): ("0x1.3f80ef3a50033p-30", "-0x1.6c39ca604b4e7p-77",
+              "0x1.2dcfa55847ddbp+7", "-0x1.580e8555f61b1p-40"),
+    ("B", 7): ("-0x1.224070ac296fap-38", "0x1.4ae11aafc768cp-85",
+              "-0x1.b559dd09cdbcap+0", "0x1.f2919322ef04bp-47"),
+    ("B", 8): ("-0x1.5c4d5401cb52dp-40", "0x1.8d0e2006227dcp-87",
+              "-0x1.767b5876cb5cap+4", "0x1.aae63f95e9757p-43"),
+    ("B", 9): ("-0x1.4f5ba0a89e345p-50", "0x1.20a0506c05246p-120",
+              "-0x1.6d4cfac11c321p+2", "0x1.3a65825a67fbcp-68"),
+    ("B", 10): ("-0x1.9258ed7f3607ep-52", "0x1.5a47e1a80889bp-122",
+               "-0x1.21594d3b1a000p+6", "0x1.f20e90c5d7d8fp-65"),
+    ("B", 11): ("0x1.1856946832300p-62", "-0x1.e28bffc0dfb60p-133",
+               "0x1.b6003981d98c7p-2", "-0x1.78f74d252954bp-72"),
+    ("B", 12): ("0x1.5067e549d5d33p-64", "-0x1.2187330d5306dp-134",
+               "0x1.7709cad72f139p+2", "-0x1.42c6f3a7d1ca2p-68"),
+    ("C", 0): ("-0x1.099b7ece30eccp-10", "0x1.910dc296061f3p-34",
+              "-0x1.0e76af7fb6038p+1", "0x1.9862ea1a20c2ep-23"),
+    ("C", 1): ("0x1.baadd357a6e00p-8", "-0x1.4e362227afc4ap-31",
+              "0x1.3bdeb2cd35bd3p-2", "-0x1.dcf296134d80ap-26"),
+    ("C", 2): ("0x1.235d109aa668ap-14", "-0x1.4c2591a62ba20p-61",
+              "0x1.26e1040a239d7p+2", "-0x1.50277d4194d71p-45"),
+    ("C", 3): ("-0x1.cb4ad24acc4f3p-18", "0x1.05ca612463f77p-64",
+              "-0x1.4db751c5a98e1p-1", "0x1.7c6d741950e18p-48"),
+    ("C", 4): ("-0x1.f29e3d1953a3cp-23", "0x1.ad22e6713448ep-93",
+              "-0x1.4e0eb05ce4b10p+3", "0x1.1f81c522f1652p-67"),
+    ("C", 5): ("0x1.dc876d7d82449p-28", "-0x1.9a20146db7e4cp-98",
+              "0x1.60920f84f60cbp+0", "-0x1.2f70b768d5425p-70"),
+    ("C", 6): ("0x1.0ef617b0c962dp-31", "-0x1.602001e75fb61p-125",
+              "0x1.8650eb3e26b05p+4", "-0x1.fb3b397b5d47dp-90"),
+    ("C", 7): ("-0x1.ee69a260aec6fp-38", "0x1.414125aec75abp-131",
+              "-0x1.747d81651e893p+1", "0x1.e410e2f149f0ep-93"),
+    ("C", 8): ("-0x1.e182115816794p-41", "0x1.d86ac7952564ap-158",
+              "-0x1.d23a66f4848edp+5", "0x1.c96cf791e6416p-112"),
+    ("C", 9): ("0x1.007bd3f8cd6f9p-47", "-0x1.f7485085528e4p-165",
+              "0x1.89890fade95e8p+2", "-0x1.821af96822a84p-115"),
+    ("C", 10): ("0x1.7d753a5e0c7f4p-50", "-0x1.1a8dc317eee7fp-190",
+               "0x1.1a52b56a2d4c7p+7", "-0x1.a23ebcd9f34abp-134"),
+    ("C", 11): ("-0x1.0a1bf8716b4a6p-57", "0x1.8a39a9ac5541ap-198",
+               "-0x1.9fc5017faaceep+3", "0x1.33f81672c09cap-137"),
+    ("C", 12): ("-0x1.1892635f45a4cp-59", "0x1.39ce469e3529cp-223",
+               "-0x1.585d382ac07e1p+8", "0x1.8127818046d70p-156"),
+}
+
+
 class TestAsymptoticTerm:
     def test_a_even_example(self):
         for k in (3, 10):
@@ -250,6 +332,18 @@ class TestAsymptoticTerm:
         # order-0 family A terms approach +-2: the series cannot converge
         for x in (1.0, 5.0, 20.0):
             assert abs(term_a(0, x, 10**4)) == pytest.approx(2.0, abs=0.02)
+
+    @pytest.mark.parametrize("family,n", list(ASYMPTOTIC_GOLDENS))
+    def test_matches_case_table_goldens(self, family, n):
+        points = [(x, k) for x in (0.3, 13.7) for k in (3, 10**4)]
+        for (x, k), want in zip(points, ASYMPTOTIC_GOLDENS[family, n]):
+            want = float.fromhex(want)
+            assert abs(asymptotic_term(family, n, x, k) - want) <= 4e-15 * abs(want)
+
+    def test_b1_at_x0_is_zero(self):
+        # x j_0(u-) j_0(u+) at x = 0: the leading term is exactly 0
+        for k in (1, 2):
+            assert asymptotic_term("B", 1, 0.0, k) == 0.0
 
 
 class TestTailBound:

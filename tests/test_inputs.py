@@ -125,6 +125,15 @@ REJECTED = [
     (cos_series, (1e200, 10)),
     (sin_series_1, (-1e200, 10)),
     (sin_series_2, (1e200, 10)),
+    (asymptotic_term, ("A", 5, 1e70, 1)),
+    (asymptotic_term, ("B", 9, 1e60, 1)),
+    (asymptotic_term, ("C", 4, 1e100, 1)),
+    (asymptotic_term, ("B", 2, 1e200, 1)),
+    (asymptotic_term, ("C", 0, 1e200, 1)),
+    (asymptotic_term, ("A", 1, 1e200, 3)),
+    (decay_ratio_study, ("A", 1, 0.0, [5])),
+    (decay_ratio_study, ("C", 2, 0.0, [5])),
+    (decay_ratio_study, ("C", 0, 0.0, [5])),
 ]
 
 # (entry point, arguments with numpy scalars, the equal Python arguments)
