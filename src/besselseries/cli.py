@@ -54,8 +54,9 @@ def _int_list(text):
 
 
 def _opts_from(args):
-    mode = "fixed_k" if getattr(args, "K", None) else "adaptive"
-    k_max = args.K if getattr(args, "K", None) else args.max_terms
+    K = getattr(args, "K", None)
+    mode = "adaptive" if K is None else "fixed_k"
+    k_max = args.max_terms if K is None else K
     return EvalOptions(mode=mode, k_max=k_max, tol=args.tol)
 
 

@@ -237,21 +237,26 @@ def _term_b_vec(n, x, ks):
 
     u- is the cancellation-free form of (phi - k pi)/2.  Odd n = 2m+1:
     x j_m(u-) j_m(u+).  Even n = 2m: x^2 [ j_{m-1}(u-) j_{m-1}(u+)
-    + j_m(u-) j_m(u+) ].
+    + j_m(u-) j_m(u+) ].  Each order takes one j_m pass over u- and u+
+    together.
     """
     kpi, ph, delta, sgn = _phase(x, ks)
     um = delta / 2.0
-    up = (ph + kpi) / 2.0
     # u+ = k pi + u-, so sin/cos of u+ follow from sin/cos of the tiny u-
     sm, cm = np.sin(um), np.cos(um)
-    sp, cp = sgn * sm, sgn * cm
+    u = np.concatenate((um, (ph + kpi) / 2.0))
+    su, cu = np.concatenate((sm, sgn * sm)), np.concatenate((cm, sgn * cm))
+    size = len(ks)
+
+    def pair(m):
+        j = _spherical_jn_vec(m, u, su, cu)
+        return j[:size], j[size:]
+
     if n % 2 == 1:
-        m = (n - 1) // 2
-        return x * _spherical_jn_vec(m, um, sm, cm) * _spherical_jn_vec(m, up, sp, cp)
-    m = n // 2
-    return x * x * (
-        _spherical_jn_vec(m - 1, um, sm, cm) * _spherical_jn_vec(m - 1, up, sp, cp)
-        + _spherical_jn_vec(m, um, sm, cm) * _spherical_jn_vec(m, up, sp, cp))
+        jm, jp = pair((n - 1) // 2)
+        return x * jm * jp
+    (am, ap), (bm, bp) = pair(n // 2 - 1), pair(n // 2)
+    return x * x * (am * ap + bm * bp)
 
 
 _TERM_VEC = {
@@ -381,7 +386,7 @@ def _sum(block, opts: EvalOptions, x: float, lo: int, thr: float,
                     tail = pre * acc
                     return (math.fsum(t[:k0].tolist()) + (tail.imag if imag else tail.real),
                             k0 + _WINDOW, est, True)
-                d = np.diff(d)
+                d = d[1:] - d[:-1]
                 rp *= r
             k0 *= 2
     t = upto(opts.k_max + 1)

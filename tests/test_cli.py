@@ -52,6 +52,15 @@ class TestEval:
         assert payload["terms_used"] == 10000
         assert payload["abs_error"] < 1e-6
 
+    @pytest.mark.parametrize("K", ["0", "-3"])
+    def test_nonpositive_K_exits_2(self, capsys, K):
+        # --K 0 asks for a fixed sum of no terms, not for adaptive mode
+        code, out, err = run_cli(capsys, "eval", "--family", "C", "--n", "1",
+                                 "--b", "0.5", "--x", "2", "--K", K)
+        assert code == EX_DOMAIN
+        assert out == ""
+        assert "k_max must be a positive integer" in err
+
     def test_j0var(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "--family", "j0var", "--x", "1",
                                "--K", "100000", "--check", "--format", "json")
@@ -103,6 +112,15 @@ class TestTable:
                             "abs_error,tail_bound,terms_used,converged")
         assert len(lines) == 3
         assert lines[1].startswith("C,0,1.0,1.0,2000,")
+
+    @pytest.mark.parametrize("K", ["0", "-3"])
+    def test_nonpositive_K_exits_2(self, capsys, K):
+        code, out, err = run_cli(capsys, "table", "--families", "C",
+                                 "--n-list", "1", "--b-list", "1.0",
+                                 "--x-list", "1.0", "--K", K)
+        assert code == EX_DOMAIN
+        assert out == ""
+        assert "k_max must be a positive integer" in err
 
     def test_invalid_combinations_skipped(self, capsys):
         code, out, err = run_cli(capsys, "table", "--families", "A,B",

@@ -44,6 +44,15 @@ RESULTS = [
     ("eval_series", ("C", 8, 0.9, 3.1), ("fixed_k", 16383), "0x1.020b73b149a78p-13", "0x1.8e871c7b69763p-138"),
     ("eval_series", ("C", 8, 0.9, 3.1), ("fixed_k", 16384), "0x1.020b73b149a78p-13", "0x1.5e4d6cac28a26p-139"),
     ("eval_series", ("C", 8, 0.9, 3.1), ("fixed_k", 16385), "0x1.020b73b149a78p-13", "0x1.d41392782cf18p-138"),
+    # family B at even orders n = 2m: j_(m-1) and j_m both run Miller on u-
+    ("eval_series", ("B", 2, 0.6, 7.3), ("fixed_k", 1), "0x1.91d005be769e8p+0", "0x1.13a95ac7f013ep+2"),
+    ("eval_series", ("B", 2, 0.6, 7.3), ("fixed_k", 8), "0x1.c641572affb13p+0", "0x1.b38e5678eb8a4p-3"),
+    ("eval_series", ("B", 2, 0.6, 7.3), ("fixed_k", 512), "0x1.6cac6544b72bdp+1", "0x1.da33bce94be93p-15"),
+    ("eval_series", ("B", 2, 0.6, 7.3), ("fixed_k", 16385), "0x1.6ca4923fcb3fdp+1", "0x1.7f9954c9f09a4p-23"),
+    ("eval_series", ("B", 8, 0.45, 9.1), ("fixed_k", 1), "0x1.c2414678270bep+1", "0x1.146bf606613ddp+1"),
+    ("eval_series", ("B", 8, 0.45, 9.1), ("fixed_k", 8), "0x1.96a67a7f4febfp-2", "0x1.0845025c176d6p-7"),
+    ("eval_series", ("B", 8, 0.45, 9.1), ("fixed_k", 512), "0x1.809090c1c8464p-2", "0x1.ae4b39992a203p-31"),
+    ("eval_series", ("B", 8, 0.45, 9.1), ("fixed_k", 16385), "0x1.80909097106dbp-2", "0x1.781128539e6e7p-51"),
     ("eval_at_b1", (4, 7.5), ("fixed_k", 300), "0x1.8657ef0e6ea61p-6", "0x1.0f998861c5e55p-27"),
     ("eval_j0_variant", (-6.25,), ("fixed_k", 300), "0x1.b23c5677bc02ap-3", "0x1.15a5eb896843cp-9"),
     ("eval_at_b1", (4, 7.5), ("adaptive", 10**6), "0x1.8657f3540b7f7p-6", "0x1.1e2ef04c4b000p-38"),

@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 from besselseries import (DomainError, HalfOrderIndex, NoConvergenceError,
                           OracleConfig, bessel_j_half, bessel_j_power_series,
                           log_gamma, spherical_jn)
-from besselseries.special import (_MILLER_RESCALE_M, _bessel_j_series_vec, _miller_start,
-                                  _spherical_jn_vec)
+from besselseries import special
+from besselseries.special import (_MILLER_FLOAT_MAX, _MILLER_RESCALE_M, _bessel_j_series_vec,
+                                  _miller_start, _spherical_jn_vec)
 
 # j_m(z) frozen at 22 digits
 SPHERICAL_REFS = [
@@ -138,6 +139,25 @@ class TestSphericalJn:
         assert m == 58
         assert peak(m - 1, 0.5) < 1e250 < peak(m, 0.5)
         assert max(peak(k, z) for k in range(m) for z in (0.5, 0.75, 3.0)) < 1e250
+
+    @pytest.mark.parametrize("size", [1, _MILLER_FLOAT_MAX, _MILLER_FLOAT_MAX + 1])
+    def test_miller_float_path_matches_array_path(self, monkeypatch, size):
+        # the recurrence on Python floats and on numpy arrays rounds alike:
+        # every order below the rescaling order, z across [0.5, m + 1) with
+        # the zeros of j_0 in range, subsets on both sides of the switch
+        rng = np.random.default_rng(size)
+        for m in range(1, _MILLER_RESCALE_M):
+            zeros = [k * math.pi for k in range(1, m // 3 + 2) if k * math.pi < m + 1]
+            z = np.concatenate(([0.5], zeros, rng.uniform(0.5, m + 1, size)))[:size]
+            s, c = np.sin(z), np.cos(z)
+            default = special._jn_miller(m, z, s, c)
+            paths = []
+            for cap in (0, size):  # all arrays, all floats
+                monkeypatch.setattr(special, "_MILLER_FLOAT_MAX", cap)
+                paths.append(special._jn_miller(m, z, s, c))
+            monkeypatch.undo()
+            assert [v.hex() for v in paths[0]] == [v.hex() for v in paths[1]]
+            assert [v.hex() for v in default] == [v.hex() for v in paths[0]]
 
     def test_invalid_arguments(self):
         with pytest.raises(DomainError):
