@@ -13,6 +13,8 @@ import json
 import math
 import sys
 
+import mpmath as mp
+
 from .engine import (EvalOptions, SeriesFamily, SeriesSpec, eval_at_b1,
                      eval_j0_variant, eval_series)
 from .errors import (BoundNotApplicableError, DomainError, NoConvergenceError,
@@ -228,13 +230,21 @@ def cmd_bench(args) -> int:
 # trig
 # ---------------------------------------------------------------------------
 
+def _trig_lhs(which, x):
+    """cos x - 1 + x^2/2 (cos) or 1 - sin x / x (sin1, sin2).  In double
+    precision these cancel about 4 and 2 times log10(1/|x|) digits, so
+    they are formed in mpmath with that many digits to spare."""
+    if x == 0:
+        return 0.0
+    with mp.workdps(20 + 4 * max(0, -math.floor(math.log10(abs(x))))):
+        x = mp.mpf(x)
+        return float(mp.cos(x) - 1 + x * x / 2 if which == "cos" else 1 - mp.sin(x) / x)
+
+
 def cmd_trig(args) -> int:
     series = {"cos": cos_series, "sin1": sin_series_1, "sin2": sin_series_2}[args.which]
     value = series(args.x, args.K)
-    if args.which == "cos":
-        lhs = math.cos(args.x) - 1.0 + args.x * args.x / 2.0
-    else:
-        lhs = 0.0 if args.x == 0 else 1.0 - math.sin(args.x) / args.x
+    lhs = _trig_lhs(args.which, args.x)
     for key, v in (("which", args.which), ("x", args.x), ("K", args.K),
                    ("value", value), ("analytic", lhs),
                    ("abs_error", abs(value - lhs))):

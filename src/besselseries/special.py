@@ -1,6 +1,7 @@
 """Stable elementary building blocks: spherical Bessel functions j_m,
-half-integer-order J, log-gamma, and a Maclaurin power-series evaluator
-for J_nu used as the independent reference throughout the package.
+half-integer-order J, log-gamma (mpmath's, within 1 ulp on (0, 170]),
+and a Maclaurin power-series evaluator for J_nu used as the independent
+reference throughout the package.
 
 All functions are pure and deterministic; identical inputs give
 bit-identical outputs.
@@ -225,69 +226,14 @@ def bessel_j_half(m, z: float) -> float:
 # log-gamma
 # ---------------------------------------------------------------------------
 
-# Lanczos coefficients, g = 7, 9 terms.
-_LANCZOS_G = 7.0
-_LANCZOS_P = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-# Stirling-de Moivre correction coefficients B_{2j} / (2j (2j-1)).
-_STIRLING_C = tuple(
-    np.longdouble(s)
-    for s in (
-        "0.0833333333333333333333333333333333333",
-        "-0.00277777777777777777777777777777777778",
-        "0.000793650793650793650793650793650793651",
-        "-0.000595238095238095238095238095238095238",
-        "0.000841750841750841750841750841750841751",
-        "-0.00191752691752691752691752691752691753",
-    )
-)
-
-_LOG_SQRT_2PI = np.longdouble("0.918938533204672741780329736405617639861")
-_PI_L = np.longdouble("3.14159265358979323846264338327950288420")
-
-# Switch point between the Lanczos core and the Stirling tail.  The nine
-# double-precision Lanczos coefficients alone cannot hold 1e-13 absolute
-# error once ln Gamma grows past ~300; Stirling with six correction terms
-# is exact to ~1e-16 for a >= 13.
-_STIRLING_SWITCH = 13.0
-
-
-def _log_gamma_long(a):
-    # extended-precision core; a > 0
-    if a < 0.5:
-        s = np.sin(_PI_L * np.longdouble(a))
-        return np.log(_PI_L / s) - _log_gamma_long(1.0 - a)
-    if a >= _STIRLING_SWITCH:
-        aa = np.longdouble(a)
-        r = (aa - 0.5) * np.log(aa) - aa + _LOG_SQRT_2PI
-        inv = 1.0 / aa
-        inv2 = inv * inv
-        p = inv
-        for c in _STIRLING_C:
-            r = r + c * p
-            p = p * inv2
-        return r
-    aa = np.longdouble(a) - 1.0
-    s = np.longdouble(_LANCZOS_P[0])
-    for i, p in enumerate(_LANCZOS_P[1:], start=1):
-        s = s + np.longdouble(p) / (aa + i)
-    t = aa + np.longdouble(_LANCZOS_G + 0.5)
-    return _LOG_SQRT_2PI + (aa + 0.5) * np.log(t) - t + np.log(s)
-
-
 def log_gamma(a: float) -> float:
-    """ln Gamma(a) for a > 0, absolute error within 1e-13 on (0, 170]."""
-    return float(_log_gamma_long(as_real(a, "log_gamma requires a > 0", gt=0.0)))
+    """ln Gamma(a) for a > 0, from mpmath at a fixed 80-bit working
+    precision that the caller's global mpmath setting does not change.
+    Within 1 ulp of the exact value on (0, 170], and exactly 0.0 at
+    a = 1 and a = 2."""
+    a = as_real(a, "log_gamma requires a > 0", gt=0.0)
+    with mp.workprec(80):
+        return float(mp.loggamma(a))
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +285,7 @@ def _bessel_j_series_vec(nu, x, tol=1e-17, max_terms=120):
     half = x / 2.0
     with np.errstate(divide="ignore"):
         # 0^0 = 1 handles nu == 0 at x = 0
-        term = half**nu / math.exp(log_gamma(nu + 1.0))
+        term = half**nu / math.gamma(nu + 1.0)
     total = term.copy()
     h2 = half * half
     for j in range(max_terms):

@@ -101,7 +101,6 @@ class ConvergenceRecord:
     tail_bound: float | None = None
     terms_used: int | None = None
     converged: bool | None = None
-    terms_to_tol: int | None = None
     error: str | None = None
 
 
@@ -348,10 +347,6 @@ def sweep(grid, opts: EvalOptions | None = None,
                 rec.abs_error = abs(res.bessel_value - oracle)
         except (DomainError, NoConvergenceError) as exc:
             rec.error = str(exc)
-        try:
-            rec.terms_to_tol = terms_to_tolerance(spec, opts.tol, k_cap=10**6)
-        except (BoundNotApplicableError, NoConvergenceError, DomainError):
-            rec.terms_to_tol = None
         records.append(rec)
     return records
 

@@ -167,6 +167,20 @@ class TestTrig:
         values = dict(line.split(" = ") for line in out.strip().splitlines())
         assert float(values["abs_error"]) < 1e-4
 
+    @pytest.mark.parametrize("which,ref", [
+        # cos x - 1 + x^2/2 and 1 - sin x / x at x = 0.001, 50-digit mpmath
+        ("cos", 4.1666665277777806e-14),
+        ("sin1", 1.6666665833333353e-07),
+    ])
+    def test_analytic_at_small_x(self, capsys, which, ref):
+        code, out, _ = run_cli(capsys, "trig", "--which", which, "--x", "0.001",
+                               "--K", "100000")
+        assert code == EX_OK
+        values = dict(line.split(" = ") for line in out.strip().splitlines())
+        assert float(values["analytic"]) == pytest.approx(ref, rel=1e-15, abs=0.0)
+        assert float(values["abs_error"]) == pytest.approx(
+            abs(float(values["value"]) - ref), rel=1e-6, abs=0.0)
+
     def test_sin2_beats_sin1(self, capsys):
         _, out1, _ = run_cli(capsys, "trig", "--which", "sin1", "--x", "5", "--K", "1000")
         _, out2, _ = run_cli(capsys, "trig", "--which", "sin2", "--x", "5", "--K", "1000")

@@ -226,6 +226,37 @@ class TestLogGamma:
             with pytest.raises(DomainError):
                 log_gamma(bad)
 
+    def test_within_one_ulp(self):
+        import mpmath
+        grid = np.concatenate([np.geomspace(1e-300, 0.01, 60), np.linspace(0.01, 170.0, 1301),
+                               1.0 + np.array([-1e-9, -1e-15, 1e-15, 1e-9]),
+                               2.0 + np.array([-1e-9, -1e-15, 1e-15, 1e-9])])
+        for a in grid.tolist():
+            with mpmath.workdps(50):
+                ref = mpmath.loggamma(a)
+            assert abs(mpmath.mpf(log_gamma(a)) - ref) <= math.ulp(float(ref)), a
+
+    def test_exact_zeros(self):
+        assert log_gamma(1.0) == 0.0
+        assert log_gamma(2.0) == 0.0
+
+    def test_independent_of_global_mpmath_precision(self):
+        import mpmath
+        points = (0.3, 1.0, 2.0, 3.0, 17.25, 158.6)
+        before = [log_gamma(a) for a in points]
+        saved = mpmath.mp.dps
+        try:
+            mpmath.mp.dps = 5
+            after = [log_gamma(a) for a in points]
+        finally:
+            mpmath.mp.dps = saved
+        assert after == before
+
+    @pytest.mark.parametrize("nu", [0, 1, 2, 3])
+    def test_vectorized_series_normalisation(self, nu):
+        # at x = 1e-8 the series is its leading term (x/2)^nu / Gamma(nu + 1)
+        assert _bessel_j_series_vec(nu, [1e-8])[0] == (0.5e-8) ** nu / math.gamma(nu + 1)
+
 
 class TestBesselJPowerSeries:
     def test_at_zero(self):
