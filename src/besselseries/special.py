@@ -1,7 +1,7 @@
 """Stable elementary building blocks: spherical Bessel functions j_m,
 half-integer-order J, log-gamma (mpmath's, within 1 ulp on (0, 170]),
-and a Maclaurin power-series evaluator for J_nu used as the independent
-reference throughout the package.
+and a Maclaurin power-series evaluator for J_nu (the reference of the
+uniform-convergence proxy; verify and the CLI use mpmath.besselj).
 
 All functions are pure and deterministic; identical inputs give
 bit-identical outputs.

@@ -1,6 +1,7 @@
 """Independent numerical verification: quadrature checks of the source
 integral identities, Fourier-coefficient checks, term-decay studies, and
-benchmark sweeps against the power-series reference.
+benchmark sweeps, all against one reference outside the package,
+mpmath.besselj (_reference_j).
 
 The three identities being checked, for b > 0, real y, nu > -1, with
 B = sqrt(b^2 + y^2):
@@ -27,6 +28,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import mpmath as mp
 import numpy as np
 
 from .engine import (EvalOptions, SeriesFamily, SeriesSpec, _as_family,
@@ -34,8 +36,7 @@ from .engine import (EvalOptions, SeriesFamily, SeriesSpec, _as_family,
                      tail_bound, term_a, term_b, term_c)
 from .errors import (BoundNotApplicableError, DomainError, NoConvergenceError, QuadratureError,
                      as_int, as_real)
-from .special import (OracleConfig, POWER_SERIES_X_MAX, _bessel_j_series_vec,
-                      bessel_j_half, bessel_j_power_series)
+from .special import OracleConfig, _bessel_j_series_vec, bessel_j_power_series
 
 __all__ = [
     "QuadratureOptions",
@@ -144,25 +145,27 @@ def _refine_quad(f, a, b, q: QuadratureOptions, panel_scale: int = 1):
 # closed right-hand sides
 # ---------------------------------------------------------------------------
 
-def _j_general(order, z, cfg=None):
-    # half-integer orders take the elementary path; everything else goes
-    # through the power-series reference
-    twice = 2.0 * order
-    if twice == round(twice) and int(round(twice)) % 2 == 1 and order > 0:
-        return bessel_j_half(int(round(order - 0.5)), z)
-    return bessel_j_power_series(order, z, cfg or OracleConfig())
+def _reference_j(nu, z):
+    """J_nu(z) from mpmath.besselj at 80 bits, whatever the caller's global
+    mpmath precision; signed z is fine for integer nu.  mpmath's failures
+    surface as NoConvergenceError."""
+    try:
+        with mp.workprec(80):
+            return float(mp.besselj(nu, z))
+    except (ValueError, mp.libmp.NoConvergence) as exc:
+        raise NoConvergenceError(f"oracle J_{nu}({z}) failed in mpmath: {exc}") from exc
 
 
 def _identity_rhs(family, nu, b, y):
     B = math.hypot(b, y)
     if family is SeriesFamily.A:
-        return math.sqrt(math.pi / 2.0) * y * b**nu * B ** (-nu - 1.5) * _j_general(nu + 1.5, B)
+        return math.sqrt(math.pi / 2.0) * y * b**nu * B ** (-nu - 1.5) * _reference_j(nu + 1.5, B)
     if family is SeriesFamily.C:
-        return math.sqrt(math.pi / 2.0) * b**nu * B ** (-nu - 0.5) * _j_general(nu + 0.5, B)
+        return math.sqrt(math.pi / 2.0) * b**nu * B ** (-nu - 0.5) * _reference_j(nu + 0.5, B)
     ya = abs(y)
     u_small = b * b / (2.0 * (B + ya))  # (B - |y|) / 2 without cancellation
     u_big = (B + ya) / 2.0
-    return (math.pi / 2.0) * _j_general(nu / 2.0, u_small) * _j_general(nu / 2.0, u_big)
+    return (math.pi / 2.0) * _reference_j(nu / 2.0, u_small) * _reference_j(nu / 2.0, u_big)
 
 
 # ---------------------------------------------------------------------------
@@ -310,24 +313,15 @@ def terms_to_tolerance(spec: SeriesSpec, tol: float, k_cap: int = 10**7) -> int:
     return hi
 
 
-def _oracle_j(n, z, oracle_cfg: OracleConfig):
-    """J_n(z) for signed z from the power-series reference, by
-    J_n(-z) = (-1)^n J_n(z)."""
-    arg = abs(z)
-    if arg > POWER_SERIES_X_MAX:
-        raise DomainError(f"oracle argument {arg} exceeds {POWER_SERIES_X_MAX}")
-    sign = -1.0 if (z < 0 and n % 2 == 1) else 1.0
-    return sign * bessel_j_power_series(n, arg, oracle_cfg)
-
-
 def sweep(grid, opts: EvalOptions | None = None,
           oracle_cfg: OracleConfig | None = None) -> list[ConvergenceRecord]:
     """One ConvergenceRecord per spec, in input order.  Failures are
-    captured in the record's error field instead of aborting the sweep."""
+    captured in the record's error field instead of aborting the sweep.
+
+    The oracle column is J_n(bx) from _reference_j; oracle_cfg is accepted
+    for compatibility and has no effect."""
     if opts is None:
         opts = EvalOptions()
-    if oracle_cfg is None:
-        oracle_cfg = OracleConfig(tol=1e-14)
     records = []
     for spec in grid:
         rec = ConvergenceRecord(spec.family, spec.n, spec.b, spec.x, K=opts.k_max)
@@ -338,13 +332,10 @@ def sweep(grid, opts: EvalOptions | None = None,
             rec.tail_bound = res.tail_bound
             rec.terms_used = res.terms_used
             rec.converged = res.converged
-            oracle = _oracle_j(spec.n, spec.b * spec.x, oracle_cfg)
-            rec.oracle = oracle
-            if spec.family is SeriesFamily.B and spec.b == 0.0:
-                # recovered value is the b -> 0 limit, not J_n(0)
-                rec.abs_error = None
-            else:
-                rec.abs_error = abs(res.bessel_value - oracle)
+            rec.oracle = _reference_j(spec.n, spec.b * spec.x)
+            # family B at b = 0 recovers the b -> 0 limit, not J_n(0)
+            if not (spec.family is SeriesFamily.B and spec.b == 0.0):
+                rec.abs_error = abs(res.bessel_value - rec.oracle)
         except (DomainError, NoConvergenceError) as exc:
             rec.error = str(exc)
         records.append(rec)

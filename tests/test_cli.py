@@ -3,6 +3,7 @@ stability."""
 
 import json
 
+import mpmath
 import pytest
 
 from besselseries.cli import EX_DOMAIN, EX_NOCONV, EX_OK, EX_USAGE, main
@@ -34,6 +35,38 @@ class TestEval:
         payload = json.loads(out)
         assert payload["bessel_value"] == pytest.approx(0.5767248077568734, abs=1e-7)
         assert payload["abs_error"] < 1e-7
+
+    def test_check_beyond_power_series_range(self, capsys):
+        code, out, _ = run_cli(capsys, "eval", "--family", "C", "--n", "0",
+                               "--b", "1", "--x", "60", "--K", "100", "--check",
+                               "--format", "json")
+        assert code == EX_OK
+        with mpmath.workdps(40):
+            assert json.loads(out)["oracle"] == float(mpmath.besselj(0, 60))
+
+    def test_check_reference_failure_exits_1(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "--family", "C", "--n", "10000",
+                                 "--b", "1", "--x", "10000", "--K", "10", "--check")
+        assert code == EX_NOCONV
+        assert out == ""
+        assert "did not converge" in err and "oracle" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+    def test_check_family_b_at_b0_has_no_error(self, capsys, fmt):
+        # the recovered value is the b -> 0 limit x/2, not J_1(0)
+        code, out, _ = run_cli(capsys, "eval", "--family", "B", "--n", "1",
+                               "--b", "0", "--x", "2", "--check", "--format", fmt)
+        assert code == EX_OK
+        if fmt == "json":
+            payload = json.loads(out)
+            assert payload["bessel_value"] == 1.0 and payload["abs_error"] is None
+        elif fmt == "csv":
+            header, row = out.strip("\n").splitlines()
+            assert header.endswith(",oracle,abs_error")
+            assert row.endswith(",0.0,")
+        else:
+            assert out.splitlines()[-1] == "abs_error = "
 
     def test_no_convergence_exits_1(self, capsys):
         code, out, err = run_cli(capsys, "eval", "--family", "C", "--n", "0",
@@ -92,6 +125,14 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["eval", "--family", "Q", "--x", "1"])
         assert exc.value.code == EX_USAGE
+
+    @pytest.mark.parametrize("argv", [("table", "--families", "D"),
+                                      ("bench", "--families", "A,x")])
+    def test_unknown_family_list_entry(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == EX_USAGE
+        assert "--families" in capsys.readouterr().err
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:

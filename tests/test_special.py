@@ -67,11 +67,11 @@ class TestSphericalJn:
     def test_j1_half(self):
         # brute-force Maclaurin of j_1 cross-checked against
         # (sin z / z^2 - cos z / z) at 40 digits
-        assert spherical_jn(1, 0.5) == pytest.approx(0.1625370306360665688606, rel=1e-14)
+        assert spherical_jn(1, 0.5) == pytest.approx(0.1625370306360665688606, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("m,z,ref", SPHERICAL_REFS)
     def test_reference_grid(self, m, z, ref):
-        assert spherical_jn(m, z) == pytest.approx(ref, rel=1e-13)
+        assert spherical_jn(m, z) == pytest.approx(ref, rel=1e-13, abs=0.0)
 
     def test_recurrence_self_consistency(self):
         # j_{m+1}(z) = (2m+1)/z j_m(z) - j_{m-1}(z) on an m, z grid
@@ -106,13 +106,13 @@ class TestSphericalJn:
                     continue
                 with mpmath.workdps(40):
                     ref = float(mpmath.sqrt(mpmath.pi / (2 * z)) * mpmath.besselj(m + 0.5, z))
-                assert spherical_jn(m, z) == pytest.approx(ref, rel=1e-13)
+                assert spherical_jn(m, z) == pytest.approx(ref, rel=1e-13, abs=0.0)
             # sin z passed in as exactly 0 at z = k pi, as the term kernels
             # do at x = 0
             if k * math.pi < m + 1:
                 got = _spherical_jn_vec(m, np.array([k * math.pi]), np.array([0.0]),
                                         np.array([(-1.0) ** k]))[0]
-                assert got == pytest.approx(spherical_jn(m, k * math.pi), rel=1e-13)
+                assert got == pytest.approx(spherical_jn(m, k * math.pi), rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("m", [57, 58, 64])
     @pytest.mark.parametrize("z", [0.5, 0.75, 1.0, 2.0])
@@ -123,7 +123,7 @@ class TestSphericalJn:
         import mpmath
         with mpmath.workdps(40):
             ref = float(mpmath.sqrt(mpmath.pi / (2 * z)) * mpmath.besselj(m + 0.5, z))
-        assert spherical_jn(m, z) == pytest.approx(ref, rel=1e-13)
+        assert spherical_jn(m, z) == pytest.approx(ref, rel=1e-13, abs=0.0)
 
     def test_miller_rescale_order_is_tight(self):
         # below _MILLER_RESCALE_M the growth bound keeps the unscaled
@@ -177,7 +177,7 @@ class TestSphericalJn:
 
 class TestBesselJHalf:
     def test_simple_values(self):
-        assert bessel_j_half(0, math.pi / 2) == pytest.approx(2.0 / math.pi, rel=1e-14)
+        assert bessel_j_half(0, math.pi / 2) == pytest.approx(2.0 / math.pi, rel=1e-14, abs=0.0)
         assert abs(bessel_j_half(0, math.pi)) < 1e-16
         assert bessel_j_half(0, 0.0) == 0.0
         assert bessel_j_half(3, 0.0) == 0.0
@@ -188,7 +188,7 @@ class TestBesselJHalf:
         (4, 11.0, -0.1519424818382104584126),
     ])
     def test_reference_values(self, m, z, ref):
-        assert bessel_j_half(m, z) == pytest.approx(ref, rel=1e-13)
+        assert bessel_j_half(m, z) == pytest.approx(ref, rel=1e-13, abs=0.0)
 
     def test_half_order_index(self):
         idx = HalfOrderIndex(2)

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import pytest
 
 from besselseries import (BoundNotApplicableError, DomainError, EvalOptions,
@@ -62,6 +63,27 @@ class TestIntegralIdentities:
     @pytest.mark.parametrize("nu", [0.0, 0.5, 2.5])
     def test_spot_grid(self, family, nu):
         r = check_integral_identity(family, nu, 1.0, 1.0)
+        assert r.residual < 1e-9
+
+    @pytest.mark.parametrize("family, nu", [("A", 0.0), ("C", 1.0)])
+    def test_rhs_does_not_use_the_engine_j_m(self, monkeypatch, family, nu):
+        # the half-integer orders J_{nu+3/2}, J_{nu+1/2} come from mpmath,
+        # not from the package's own spherical Bessel code
+        def refuse(*args, **kwargs):
+            raise AssertionError("the reference called _spherical_jn_vec")
+
+        monkeypatch.setattr("besselseries.special._spherical_jn_vec", refuse)
+        b, y = 0.5, 1.0
+        r = check_integral_identity(family, nu, b, y)
+        with mpmath.workdps(40):
+            B = mpmath.sqrt(mpmath.mpf(b) ** 2 + y**2)
+            if family == "A":
+                want = (mpmath.sqrt(mpmath.pi / 2) * y * b**nu * B ** (-nu - 1.5)
+                        * mpmath.besselj(nu + 1.5, B))
+            else:
+                want = (mpmath.sqrt(mpmath.pi / 2) * b**nu * B ** (-nu - 0.5)
+                        * mpmath.besselj(nu + 0.5, B))
+            assert abs(r.rhs - want) <= 1e-15
         assert r.residual < 1e-9
 
     def test_validation(self):
@@ -150,10 +172,32 @@ class TestSweep:
         assert sweep([]) == []
 
     def test_oracle_range_error_is_recorded(self):
-        rec, = sweep([SeriesSpec(SeriesFamily.C, 0, 1.0, 60.0)],
-                     EvalOptions(mode="fixed_k", k_max=100, tol=1e-6))
+        # mpmath.besselj gives up on J_10000(10000)
+        rec, = sweep([SeriesSpec(SeriesFamily.C, 10**4, 1.0, 1e4)],
+                     EvalOptions(mode="fixed_k", k_max=10, tol=1e-6))
         assert rec.error is not None and "oracle" in rec.error
         assert rec.oracle is None
+
+    def test_oracle_at_negative_argument(self):
+        rec, = sweep([SeriesSpec(SeriesFamily.C, 1, 1.0, -60.0)],
+                     EvalOptions(mode="fixed_k", k_max=100))
+        assert rec.error is None
+        with mpmath.workdps(40):
+            want = -float(mpmath.besselj(1, 60))
+        assert want < 0.0 and rec.oracle == want
+
+    def test_oracle_independent_of_global_mpmath_precision(self):
+        grid = [SeriesSpec(SeriesFamily.C, 0, 1.0, 60.0),
+                SeriesSpec(SeriesFamily.B, 3, 0.7, 2.5)]
+        opts = EvalOptions(mode="fixed_k", k_max=50)
+        before = [r.oracle for r in sweep(grid, opts)]
+        saved = mpmath.mp.dps
+        try:
+            mpmath.mp.dps = 5
+            after = [r.oracle for r in sweep(grid, opts)]
+        finally:
+            mpmath.mp.dps = saved
+        assert after == before
 
 
 class TestUniformConvergenceProxy:
