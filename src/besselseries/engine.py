@@ -185,7 +185,7 @@ def g_bc(b: float, k: int) -> float:
 
 def _alt(ks):
     """(-1)^k over an array of integer-valued floats k."""
-    return np.where(ks.astype(np.int64) % 2 == 0, 1.0, -1.0)
+    return 1.0 - 2.0 * (ks.astype(np.int64) & 1)
 
 
 def _phase(x, ks):
@@ -193,15 +193,14 @@ def _phase(x, ks):
 
         phi_k = sqrt(x^2 + (k pi)^2) = k pi + delta_k,   delta_k = x^2/(phi_k + k pi),
 
-    with delta_0 = 0 at x = 0.  Every series in the package takes its phase
+    with delta_k = 0 at x = 0.  Every series in the package takes its phase
     from here: sin(phi_k) = (-1)^k sin(delta_k) and cos(phi_k) =
     (-1)^k cos(delta_k) need no large-argument trig reduction, and delta_k
     is phi_k - k pi without its cancellation.
     """
     kpi = np.pi * ks
     ph = np.hypot(x, kpi)
-    den = ph + kpi
-    delta = np.where(den > 0.0, x * x / np.where(den > 0.0, den, 1.0), 0.0)
+    delta = x * x / (ph + kpi) if x else np.zeros_like(ph)
     return kpi, ph, delta, _alt(ks)
 
 
@@ -214,18 +213,17 @@ def _phi_parts(x, ks):
 
 def _term_a_vec(n, x, ks):
     # (k pi) f_n^A(x, k pi) = 2 (k pi)^2 x^n j_{n+1}(phi) / phi^(n+1)
-    kpi, ph, s, c = _phi_parts(x, ks)
-    ratio = np.where(ph > 0.0, x / np.where(ph > 0.0, ph, 1.0), 1.0)
-    return 2.0 * kpi * kpi * ratio**n * _spherical_jn_vec(n + 1, ph, s, c) / ph
+    kpi, ph, s, c = _phi_parts(x, ks)  # k >= 1, so phi > 0
+    return 2.0 * kpi * kpi * (x / ph)**n * _spherical_jn_vec(n + 1, ph, s, c) / ph
 
 
 def _term_c_vec(n, x, ks):
-    # f_n^C(x, k pi) = 2 x^n j_n(phi) / phi^n, with (x/phi)^n -> 1 at k = 0
+    # f_n^C(x, k pi) = 2 x^n j_n(phi) / phi^n, with (x/phi)^n -> 1 at phi = 0
     _, ph, s, c = _phi_parts(x, ks)
     j = _spherical_jn_vec(n, ph, s, c)
     if n == 0:
         return 2.0 * j
-    ratio = np.where(ph > 0.0, x / np.where(ph > 0.0, ph, 1.0), 1.0)
+    ratio = x / ph if x else np.where(ph > 0.0, 0.0, 1.0)  # phi = 0 only at x = k = 0
     return 2.0 * ratio**n * j
 
 
@@ -271,10 +269,12 @@ def _weights_vec(family, b, ks):
     if family is SeriesFamily.A:
         if c == 0.0:
             return np.ones_like(ks)
-        arg = ks * (np.pi * c)
-        return np.where(ks > 0, np.sin(arg) / np.where(arg > 0, arg, 1.0), 1.0)
+        arg = ks * (np.pi * c)  # k >= 1 and c > 0, so arg > 0
+        return np.sin(arg) / arg
     w = np.cos(ks * (np.pi * c))
-    return np.where(ks == 0, 0.5 * w, w)
+    if len(ks) and ks[0] == 0.0:  # ks ascends, so k = 0 leads
+        w[0] *= 0.5
+    return w
 
 
 def _term(term_vec, n, x, k, n_min, k_min, op):
@@ -364,7 +364,7 @@ def _sum(block, opts: EvalOptions, x: float, lo: int, thr: float,
             ts.append(t)
             gs.append(g)
             have += len(t)
-        return np.concatenate(ts)
+        return ts[0] if len(ts) == 1 else np.concatenate(ts)
 
     k0 = max(64, int(4.0 * x / math.pi) + 8)
     if smooth:

@@ -30,7 +30,7 @@ def as_int(v, low: int, what: str) -> int:
     non-numbers do not.
     """
     try:
-        i = None if isinstance(v, bool) else operator.index(v)
+        i = v if type(v) is int else None if isinstance(v, bool) else operator.index(v)
     except TypeError:
         i = None
     if i is None or i < low:
@@ -46,7 +46,7 @@ def as_real(v, what: str, *, ge=None, gt=None, le=None) -> float:
     returned widened, so np.float32 input enters no arithmetic in single
     precision; bool, NaN, +-inf and non-numbers do not pass.
     """
-    if isinstance(v, numbers.Real) and not isinstance(v, bool):
+    if type(v) is float or isinstance(v, numbers.Real) and not isinstance(v, bool):
         try:
             f = float(v)
         except OverflowError:  # an int beyond the float range

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
@@ -65,27 +66,39 @@ class OracleConfig:
 # spherical Bessel j_m
 # ---------------------------------------------------------------------------
 
-def _jn_maclaurin(m, z):
+@lru_cache(maxsize=64)
+def _maclaurin_consts(m):
+    # (2m+1)!! as the float product 1.0 * 3 * 5 * ..., and the divisors (i+1)(2m+2i+3)
+    return (math.prod(range(3, 2 * m + 2, 2), start=1.0),
+            tuple(float((i + 1) * (2 * m + 2 * i + 3)) for i in range(12)))
+
+
+def _jn_maclaurin(m, z, *_):
     """Series j_m(z) = z^m/(2m+1)!! * sum_i (-z^2/2)^i / (i! prod(2m+2r+1)).
 
     Used for z < 0.5 where closed forms like (sin z - z cos z)/z^3 cancel
     catastrophically.  Twelve terms leave a relative remainder below 1e-16
-    on that range.
+    on that range.  The sum stops early once the next term at the largest
+    z, which bounds every later term, is below 2^-55: the sum stays above
+    0.95, so those terms would round away and the bits are the twelve-term
+    ones.  z is a Python float or a numpy array (sin z and cos z, if
+    passed, are not needed); np.power rounds a float as it rounds an array
+    element, where z**m on a float does not.
     """
-    acc = np.zeros_like(z)
-    t = np.ones_like(z)
-    w = -z * z / 2.0
-    for i in range(12):
+    dfact, divs = _maclaurin_consts(m)
+    top = z if type(z) is float else float(z.max())
+    acc, t, w, bound, wtop = 0.0, 1.0, -z * z / 2.0, 1.0, top * top / 2.0
+    for d in divs:
         acc += t
-        t = t * w / ((i + 1) * (2 * m + 2 * i + 3))
-    dfact = 1.0
-    for odd in range(3, 2 * m + 2, 2):
-        dfact *= odd
-    return z**m / dfact * acc
+        bound = bound * wtop / d
+        if bound < 2.0**-55:
+            break
+        t = t * w / d
+    return np.power(z, m) / dfact * acc
 
 
 def _jn_upward(m, z, sz, cz):
-    # stable only for z >= m + 1
+    # stable only for z >= m + 1; j_0 = sin z / z at any z
     jprev = sz / z
     if m == 0:
         return jprev
@@ -118,12 +131,20 @@ def _lowest_rescaling_order():
 _MILLER_RESCALE_M = _lowest_rescaling_order()
 
 
-# Largest Miller subset run element by element on Python floats; above it
-# the numpy loop wins.  Per call, floats against arrays, for m = 1, 4, 9, 30
-# (2-vCPU Xeon, Python 3.11.7, numpy 2.4.6, best of 5 x 200 calls):
+# Largest array run element by element on Python floats (below the
+# rescaling order, where the floats skip the overflow scan); above it the
+# numpy loops win.  Miller per call, floats against arrays, for m = 1, 4, 9,
+# 30 (2-vCPU Xeon, Python 3.11.7, numpy 2.4.6, best of 5 x 200 calls):
 # 7-18 us against 78-304 us for 1 element, 93-251 against 105-276 for 16,
 # 161-385 against 96-274 for 32.
 _MILLER_FLOAT_MAX = 16
+
+
+@lru_cache(maxsize=64)
+def _miller_steps(m):
+    # the factors 2l + 1 as floats, for l = _miller_start(m)..m+1 and l = m..1
+    steps = tuple(float(2 * l + 1) for l in range(_miller_start(m), 0, -1))
+    return steps[:len(steps) - m], steps[len(steps) - m:]
 
 
 def _miller_g(m, z):
@@ -134,15 +155,16 @@ def _miller_g(m, z):
     _MILLER_RESCALE_M; below it no g can fire it."""
     scan = m >= _MILLER_RESCALE_M
     gp, g, gm = 0.0, _MILLER_SEED, None
-    for l in range(_miller_start(m), 0, -1):
-        gp, g = g, (2 * l + 1) / z * g - gp
-        if l - 1 == m:
+    for i, factors in enumerate(_miller_steps(m)):
+        if i:
             gm = g
-        if scan and (big := np.abs(g) > _MILLER_HUGE).any():
-            # homogeneous recurrence: rescaling leaves ratios intact
-            gp, g = np.where(big, gp * 1e-250, gp), np.where(big, g * 1e-250, g)
-            if gm is not None:
-                gm = np.where(big, gm * 1e-250, gm)
+        for f in factors:
+            gp, g = g, f / z * g - gp
+            if scan and (big := np.abs(g) > _MILLER_HUGE).any():
+                # homogeneous recurrence: rescaling leaves ratios intact
+                gp, g = np.where(big, gp * 1e-250, gp), np.where(big, g * 1e-250, g)
+                if gm is not None:
+                    gm = np.where(big, gm * 1e-250, gm)
     return gm, gp, g
 
 
@@ -151,21 +173,32 @@ def _jn_miller(m, z, sz, cz):
     against j_1 where |j_1| > |j_0| (near and at the zeros of j_0).
 
     Start order m + 16 + ceil(sqrt(40 m)) keeps the relative seed error
-    below 1e-16 after normalization for z in [0.5, m + 1).  Up to
-    _MILLER_FLOAT_MAX arguments below the rescaling order run the
-    recurrence one Python float at a time, with the same bits.
+    below 1e-16 after normalization for z in [0.5, m + 1).  z is a Python
+    float or a numpy array; up to _MILLER_FLOAT_MAX array arguments below
+    the rescaling order run through _jn_floats, with the same bits.
     """
+    if type(z) is not float and _on_floats(m, z):
+        return _jn_floats(m, z, sz, cz)
     j0 = sz / z
     j1 = (j0 - cz) / z
-    if len(z) <= _MILLER_FLOAT_MAX and m < _MILLER_RESCALE_M:
-        out = []
-        for zi, a0, a1 in zip(z.tolist(), j0.tolist(), j1.tolist()):
-            gm, g1, g0 = _miller_g(m, zi)
-            out.append(gm * a1 / g1 if abs(a1) > abs(a0) else gm * a0 / g0)
-        return np.array(out)
     gm, g1, g0 = _miller_g(m, z)
+    if type(z) is float:
+        return gm * j1 / g1 if abs(j1) > abs(j0) else gm * j0 / g0
     use1 = np.abs(j1) > np.abs(j0)
     return gm * np.where(use1, j1, j0) / np.where(use1, g1, g0)
+
+
+def _on_floats(m, z):
+    return len(z) <= _MILLER_FLOAT_MAX and m < _MILLER_RESCALE_M
+
+
+def _jn_floats(m, z, sz, cz):
+    """j_m over a short array, one Python float at a time through the same
+    branch bodies as the array path of _spherical_jn_vec."""
+    return np.array([_jn_maclaurin(m, zi) if zi < _MACLAURIN_Z
+                     else _jn_upward(m, zi, si, ci) if m == 0 or zi >= m + 1.0
+                     else _jn_miller(m, zi, si, ci)
+                     for zi, si, ci in zip(z.tolist(), sz.tolist(), cz.tolist())])
 
 
 def _spherical_jn_vec(m, z, sin_z=None, cos_z=None):
@@ -173,29 +206,25 @@ def _spherical_jn_vec(m, z, sin_z=None, cos_z=None):
 
     Callers that know sin(z) and cos(z) exactly (for instance because
     z = k*pi + delta with tiny delta) may pass them in; otherwise they
-    are computed directly.
+    are computed directly.  An array splits once into its upward,
+    Maclaurin and Miller parts; a part of up to _MILLER_FLOAT_MAX arguments
+    below the rescaling order runs on Python floats (_jn_floats), and so
+    does such an array as a whole.
     """
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
+    s = np.sin(z) if sin_z is None else np.asarray(sin_z, dtype=np.float64)
+    c = np.cos(z) if cos_z is None else np.asarray(cos_z, dtype=np.float64)
+    if _on_floats(m, z):
+        return _jn_floats(m, z, s, c)
+    up = z >= (m + 1.0 if m else _MACLAURIN_Z)
+    if up.all():
+        return _jn_upward(m, z, s, c)
     small = z < _MACLAURIN_Z
-    if small.any():
-        out[small] = _jn_maclaurin(m, z[small])
-    big = ~small
-    if big.any():
-        zb = z[big]
-        sb = np.sin(zb) if sin_z is None else np.asarray(sin_z, dtype=np.float64)[big]
-        cb = np.cos(zb) if cos_z is None else np.asarray(cos_z, dtype=np.float64)[big]
-        if m == 0:
-            out[big] = sb / zb
-        else:
-            res = np.empty_like(zb)
-            up = zb >= m + 1.0
-            if up.any():
-                res[up] = _jn_upward(m, zb[up], sb[up], cb[up])
-            down = ~up
-            if down.any():
-                res[down] = _jn_miller(m, zb[down], sb[down], cb[down])
-            out[big] = res
+    out = np.empty_like(z)
+    for part, branch in ((up, _jn_upward), (small, _jn_maclaurin), (~(up | small), _jn_miller)):
+        if part.any():
+            zp, sp, cp = z[part], s[part], c[part]
+            out[part] = (_jn_floats if _on_floats(m, zp) else branch)(m, zp, sp, cp)
     return out
 
 

@@ -31,8 +31,8 @@ from functools import lru_cache
 import mpmath as mp
 import numpy as np
 
-from .engine import (EvalOptions, SeriesFamily, SeriesSpec, _as_family,
-                     _weighted_terms, asymptotic_term, eval_series,
+from .engine import (_TERM_VEC, EvalOptions, SeriesFamily, SeriesSpec, _as_family,
+                     _k_start, _weights_vec, asymptotic_term, eval_series,
                      tail_bound, term_a, term_b, term_c)
 from .errors import (BoundNotApplicableError, DomainError, NoConvergenceError, QuadratureError,
                      as_int, as_real)
@@ -147,13 +147,15 @@ def _refine_quad(f, a, b, q: QuadratureOptions, panel_scale: int = 1):
 
 def _reference_j(nu, z):
     """J_nu(z) from mpmath.besselj at 80 bits, whatever the caller's global
-    mpmath precision; signed z is fine for integer nu.  mpmath's failures
-    surface as NoConvergenceError."""
+    mpmath precision, and up to 100000 bits inside mpmath (J_10000(10000)
+    takes about 0.4 s); signed z is fine for integer nu.  mpmath's failures
+    surface as a one-line NoConvergenceError."""
     try:
         with mp.workprec(80):
-            return float(mp.besselj(nu, z))
+            return float(mp.besselj(nu, z, maxprec=100000))
     except (ValueError, mp.libmp.NoConvergence) as exc:
-        raise NoConvergenceError(f"oracle J_{nu}({z}) failed in mpmath: {exc}") from exc
+        msg = " ".join(str(exc).split())
+        raise NoConvergenceError(f"oracle J_{nu}({z}) failed in mpmath: {msg}") from exc
 
 
 def _identity_rhs(family, nu, b, y):
@@ -209,7 +211,8 @@ def check_integral_identity(family, nu: float, b: float, y: float,
     if q is None:
         q = QuadratureOptions()
     nu = as_real(nu, "identity requires nu > -1", gt=-1.0)
-    b = as_real(b, "identity requires finite b > 0", gt=0.0)
+    # the integrand's J_nu(b s), 0 <= s <= 1, comes from _bessel_j_series_vec
+    b = as_real(b, "identity requires 0 < b <= 8 (J_nu(b s) by power series)", gt=0.0, le=8.0)
     y = as_real(y, "identity requires finite y")
     lhs = _coefficient_integral(fam, nu, b, y, q, math.pi / 2.0).real
     rhs = _identity_rhs(fam, nu, b, y)
@@ -220,7 +223,8 @@ def _fourier_args(family, nu, b, k):
     fam = _as_family(family)
     k = as_int(k, 0, "k must be a nonnegative integer")
     nu = as_real(nu, "Fourier check requires nu > -1", gt=-1.0)
-    b = as_real(b, "Fourier check requires finite b > 0", gt=0.0)
+    b = as_real(b, "Fourier check requires 0 < b <= 8 (J_nu(b s) by power series)",
+                gt=0.0, le=8.0)
     return fam, nu, b, k * math.pi
 
 
@@ -356,11 +360,17 @@ def uniform_convergence_proxy(family, n: int, x: float, b_grid, k_list,
     k_list = [as_int(K, 0, "K must be a nonnegative integer") for K in k_list]
     k_top = max(k_list, default=0)
     sups = [0.0] * len(k_list)
+    raw = None
     for b in b_grid:
         spec = SeriesSpec(fam, n, b, x)
-        # one pass per b: the terms are elementwise and fsum is exact, so
-        # each prefix sum equals the K-term partial sum summed on its own
-        terms = _weighted_terms(spec, 1, k_top + 1)
+        if raw is None:
+            # the unmodulated terms do not depend on b: one kernel pass
+            # serves every b, each weighted as _weighted_terms weights it
+            ks = np.arange(_k_start(fam), _k_start(fam) + k_top, dtype=np.float64)
+            raw = _TERM_VEC[fam](spec.n, abs(spec.x), ks)
+        # the terms are elementwise and fsum is exact, so each prefix sum
+        # equals the K-term partial sum summed on its own
+        terms = (_weights_vec(fam, spec.b, ks) * raw).tolist()
         j = bessel_j_power_series(spec.n, spec.b * spec.x, oracle_cfg)
         if fam is SeriesFamily.B:
             limit = j / spec.b if spec.n % 2 == 1 else (2.0 * spec.n) / (spec.b * spec.b) * j

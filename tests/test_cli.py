@@ -45,8 +45,9 @@ class TestEval:
             assert json.loads(out)["oracle"] == float(mpmath.besselj(0, 60))
 
     def test_check_reference_failure_exits_1(self, capsys):
-        code, out, err = run_cli(capsys, "eval", "--family", "C", "--n", "10000",
-                                 "--b", "1", "--x", "10000", "--K", "10", "--check")
+        # mpmath.besselj gives up on J_50000(50000), even at maxprec 100000
+        code, out, err = run_cli(capsys, "eval", "--family", "C", "--n", "50000",
+                                 "--b", "1", "--x", "50000", "--K", "10", "--check")
         assert code == EX_NOCONV
         assert out == ""
         assert "did not converge" in err and "oracle" in err

@@ -114,6 +114,10 @@ REJECTED = [
     (fourier_parity_residual, ("C", 0.0, 0.5, -1)),
     (fourier_parity_residual, ("C", 0.0, 0.0, 1)),
     (fourier_parity_residual, ("C", math.nan, 0.5, 1)),
+    # the integrands' power series for J_nu(b s) stops at b s = 8
+    (check_integral_identity, ("C", 0.0, 8.5, 1.0)),
+    (check_fourier_coefficient, ("B", 1.0, 8.5, 1)),
+    (fourier_parity_residual, ("A", 0.5, 8.5, 2)),
     (SeriesSpec, ("C", 1, 0.5, 1e200)),
     (SeriesSpec, ("A", 2, 0.5, -1e200)),
     (eval_at_b1, (2, 1e200)),
@@ -194,3 +198,25 @@ def test_proxy_equals_per_k_partial_sums(family, n):
             worst = max(worst, abs(math.fsum(_weighted_terms(spec, 1, K + 1)) - limit))
         want.append(worst)
     assert uniform_convergence_proxy(family, n, x, b_grid, k_list, cfg) == want
+
+
+def test_b_limit_is_named():
+    with pytest.raises(DomainError, match=r"0 < b <= 8.*got 8\.5"):
+        check_integral_identity("C", 0.0, 8.5, 1.0)
+    assert check_integral_identity("C", 0.0, 8.0, 1.0).residual < 1e-10
+
+
+@pytest.mark.parametrize("family,n", [("A", 1), ("B", 2), ("C", 0)])
+def test_proxy_edge_lists(family, n):
+    # K = 0 sums no term, so the sup is the largest |limit|; no b, no sup
+    cfg = OracleConfig(tol=1e-14)
+    b_grid = [0.3, 0.7]
+    limits = []
+    for b in b_grid:
+        j = bessel_j_power_series(n, b * 5.0, cfg)
+        if family == "B":
+            limits.append((2.0 * n) / (b * b) * j)
+        else:
+            limits.append(b**n * j)
+    assert uniform_convergence_proxy(family, n, 5.0, b_grid, [0], cfg) == [max(map(abs, limits))]
+    assert uniform_convergence_proxy(family, n, 5.0, [], [0, 64], cfg) == [0.0, 0.0]

@@ -9,12 +9,14 @@ of value or tail_bound fails here.
 """
 
 import math
+import random
 
+import numpy as np
 import pytest
 
-from besselseries import (EvalOptions, SeriesSpec, cos_series, engine, eval_at_b1,
-                          eval_j0_variant, eval_series, sin_series_1, sin_series_2)
-from besselseries.engine import _BLOCK
+from besselseries import (EvalOptions, SeriesFamily, SeriesSpec, cos_series, engine, eval_at_b1,
+                          eval_j0_variant, eval_series, sin_series_1, sin_series_2, special)
+from besselseries.engine import _BLOCK, _weights_vec
 
 TRIG = [
     (cos_series, (3.7, 500), "0x1.3f31ce18942cap+2"),
@@ -101,3 +103,29 @@ def test_one_kernel_pass_per_fixed_k_sum(monkeypatch, family, n, k_max):
     assert len(calls) == math.ceil((k_max + 1) / _BLOCK)
     assert sum(calls) == k_max + 1
     assert r.terms_used == k_max
+
+
+def test_float_path_leaves_fixed_k_bits(monkeypatch):
+    # short j_m arrays run on Python floats; forcing every array onto the
+    # numpy path gives the same bits for random short sums
+    rng = random.Random(5)
+    calls = []
+    for _ in range(60):
+        fam = rng.choice("ABC")
+        spec = (fam, rng.randint(1 if fam == "B" else 0, 9), 0.2 + 0.8 * rng.random(),
+                10.0 * rng.random())
+        calls.append((eval_series, (SeriesSpec(*spec),), rng.choice((1, 8, 20, 64))))
+    calls += [(eval_j0_variant, (10.0 * rng.random(),), rng.choice((8, 64))) for _ in range(5)]
+
+    def bits():
+        return [(r.value.hex(), r.tail_bound.hex())
+                for r in (fn(*args, EvalOptions("fixed_k", K)) for fn, args, K in calls)]
+
+    default = bits()
+    monkeypatch.setattr(special, "_MILLER_FLOAT_MAX", 0)
+    assert bits() == default
+
+
+@pytest.mark.parametrize("family", list(SeriesFamily))
+def test_weights_of_an_empty_block(family):
+    assert _weights_vec(family, 0.6, np.arange(0.0)).size == 0

@@ -159,6 +159,39 @@ class TestSphericalJn:
             assert [v.hex() for v in paths[0]] == [v.hex() for v in paths[1]]
             assert [v.hex() for v in default] == [v.hex() for v in paths[0]]
 
+    @pytest.mark.parametrize("size", [1, _MILLER_FLOAT_MAX, _MILLER_FLOAT_MAX + 1])
+    def test_float_path_matches_array_path(self, monkeypatch, size):
+        # every branch on Python floats against the same branch on arrays:
+        # orders 0 .. 57, arguments from the Maclaurin, Miller and upward
+        # ranges and the zeros of j_0, on both sides of the size switch
+        rng = np.random.default_rng(size)
+        for m in range(_MILLER_RESCALE_M):
+            zeros = [k * math.pi for k in range(1, 4)]
+            z = np.concatenate(([0.0], zeros, rng.uniform(0.0, 0.5, size),
+                                rng.uniform(0.5, m + 1, size), rng.uniform(m + 1, m + 60, size)))
+            z = rng.permutation(z)[:size] if size > 1 else z[[m % 4]]
+            s, c = np.sin(z), np.cos(z)
+            default = _spherical_jn_vec(m, z, s, c)
+            monkeypatch.setattr(special, "_MILLER_FLOAT_MAX", 0)
+            arrays = _spherical_jn_vec(m, z, s, c)
+            monkeypatch.undo()
+            assert [v.hex() for v in default] == [v.hex() for v in arrays]
+
+    def test_maclaurin_keeps_twelve_term_bits(self):
+        # the early stop leaves the bits of the full twelve-term sum, on
+        # floats and on arrays
+        rng = np.random.default_rng(7)
+        z = np.concatenate(([0.0, 1e-300, 0.49999999999999994], rng.uniform(0.0, 0.5, 400)))
+        for m in range(_MILLER_RESCALE_M):
+            acc, t = np.zeros_like(z), np.ones_like(z)
+            for i in range(12):
+                acc += t
+                t = t * (-z * z / 2.0) / ((i + 1) * (2 * m + 2 * i + 3))
+            want = z**m / math.prod(range(1, 2 * m + 2, 2), start=1.0) * acc
+            floats = [special._jn_maclaurin(m, v) for v in z.tolist()]
+            assert [v.hex() for v in special._jn_maclaurin(m, z)] == [v.hex() for v in want]
+            assert [float(v).hex() for v in floats] == [v.hex() for v in want]
+
     def test_invalid_arguments(self):
         with pytest.raises(DomainError):
             spherical_jn(-1, 1.0)

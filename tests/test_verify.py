@@ -10,7 +10,7 @@ from besselseries import (BoundNotApplicableError, DomainError, EvalOptions,
                           SeriesFamily, SeriesSpec, check_fourier_coefficient,
                           check_integral_identity, decay_ratio_study, sweep,
                           terms_to_tolerance, uniform_convergence_proxy)
-from besselseries.verify import _panel_quad, fourier_parity_residual
+from besselseries.verify import _panel_quad, _reference_j, fourier_parity_residual
 
 
 class TestQuadratureCore:
@@ -172,11 +172,21 @@ class TestSweep:
         assert sweep([]) == []
 
     def test_oracle_range_error_is_recorded(self):
-        # mpmath.besselj gives up on J_10000(10000)
-        rec, = sweep([SeriesSpec(SeriesFamily.C, 10**4, 1.0, 1e4)],
+        # mpmath.besselj gives up on J_50000(50000), even at maxprec 100000
+        rec, = sweep([SeriesSpec(SeriesFamily.C, 5 * 10**4, 1.0, 5e4)],
                      EvalOptions(mode="fixed_k", k_max=10, tol=1e-6))
         assert rec.error is not None and "oracle" in rec.error
         assert rec.oracle is None
+
+    def test_reference_at_large_order(self):
+        # past mpmath's default precision cap, within maxprec; scipy.special.jv
+        # gives 0.02076216527720079
+        assert _reference_j(10**4, 1e4) == 0.020762165277200786
+
+    def test_reference_failure_is_one_line(self):
+        with pytest.raises(NoConvergenceError) as info:
+            _reference_j(5 * 10**4, 5e4)
+        assert "\n" not in str(info.value)
 
     def test_oracle_at_negative_argument(self):
         rec, = sweep([SeriesSpec(SeriesFamily.C, 1, 1.0, -60.0)],
