@@ -206,7 +206,7 @@ def _coefficient_integral(family, nu, b, y, q, hi):
 
 def check_integral_identity(family, nu: float, b: float, y: float,
                             q: QuadratureOptions | None = None) -> IdentityResidual:
-    """Residual |LHS - RHS| of the family's source integral identity."""
+    """Residual |LHS - RHS| of the family's source integral identity, 0 < b <= 8."""
     fam = _as_family(family)
     if q is None:
         q = QuadratureOptions()
