@@ -15,14 +15,11 @@ from .engine import (SERIES_X_MAX, EvalOptions, EvalResult, SeriesFamily, Series
                      tail_bound, term_a, term_b, term_c)
 from .errors import (BoundNotApplicableError, DomainError, NoConvergenceError,
                      QuadratureError)
-from .special import (HalfOrderIndex, OracleConfig, POWER_SERIES_X_MAX,
-                      bessel_j_half, bessel_j_power_series, log_gamma,
-                      spherical_jn)
+from .special import OracleConfig, POWER_SERIES_X_MAX, bessel_j_power_series, spherical_jn
 from .trig import cos_series, sin_series_1, sin_series_2
-from .verify import (ConvergenceRecord, IdentityResidual, QuadratureOptions,
-                     check_fourier_coefficient, check_integral_identity,
-                     decay_ratio_study, sweep, terms_to_tolerance,
-                     uniform_convergence_proxy)
+from .verify import (ConvergenceRecord, IdentityResidual, check_fourier_coefficient,
+                     check_integral_identity, decay_ratio_study, sweep,
+                     terms_to_tolerance, uniform_convergence_proxy)
 
 __version__ = "0.1.0"
 
@@ -31,10 +28,9 @@ __all__ = [
     "phi", "eps", "g_a", "g_bc", "term_a", "term_b", "term_c",
     "eval_series", "eval_at_b1", "eval_j0_variant", "bessel_j",
     "asymptotic_term", "tail_bound",
-    "HalfOrderIndex", "OracleConfig", "POWER_SERIES_X_MAX",
-    "spherical_jn", "bessel_j_half", "log_gamma", "bessel_j_power_series",
+    "OracleConfig", "POWER_SERIES_X_MAX", "spherical_jn", "bessel_j_power_series",
     "cos_series", "sin_series_1", "sin_series_2",
-    "QuadratureOptions", "IdentityResidual", "ConvergenceRecord",
+    "IdentityResidual", "ConvergenceRecord",
     "check_integral_identity", "check_fourier_coefficient",
     "decay_ratio_study", "terms_to_tolerance", "sweep",
     "uniform_convergence_proxy",

@@ -155,25 +155,23 @@ def cmd_table(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _verify_identity():
-    q = _verify.QuadratureOptions()
     rows = []
     for fam in ("A", "B", "C"):
         for nu in (0.0, 0.5, 1.0, 2.5):
             for b in (0.5, 1.0, 2.0):
                 for y in (0.0, 1.0, math.pi, 5.0):
-                    r = _verify.check_integral_identity(fam, nu, b, y, q)
+                    r = _verify.check_integral_identity(fam, nu, b, y)
                     rows.append((r.residual, f"identity {fam} nu={nu} b={b} y={_fmt(y)}"))
     return rows
 
 
 def _verify_fourier():
-    q = _verify.QuadratureOptions()
     rows = []
     for fam in ("A", "B", "C"):
         for nu in (0.0, 1.0, 2.5):
             for b in (0.3, 0.7, 1.0):
                 for k in range(0, 9):
-                    r = _verify.check_fourier_coefficient(fam, nu, b, k, q)
+                    r = _verify.check_fourier_coefficient(fam, nu, b, k)
                     rows.append((r.residual, f"fourier {fam} nu={nu} b={b} k={k}"))
     return rows
 

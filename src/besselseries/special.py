@@ -1,6 +1,5 @@
-"""Stable elementary building blocks: spherical Bessel functions j_m,
-half-integer-order J, log-gamma (mpmath's, within 1 ulp on (0, 170]),
-and a Maclaurin power-series evaluator for J_nu (the reference of the
+"""Stable elementary building blocks: spherical Bessel functions j_m and
+a Maclaurin power-series evaluator for J_nu (the reference of the
 uniform-convergence proxy; verify and the CLI use mpmath.besselj).
 
 All functions are pure and deterministic; identical inputs give
@@ -19,11 +18,8 @@ import numpy as np
 from .errors import DomainError, NoConvergenceError, as_int, as_real
 
 __all__ = [
-    "HalfOrderIndex",
     "OracleConfig",
     "spherical_jn",
-    "bessel_j_half",
-    "log_gamma",
     "bessel_j_power_series",
     "POWER_SERIES_X_MAX",
 ]
@@ -32,21 +28,6 @@ __all__ = [
 # digits to cancellation; the evaluator compensates with extra working
 # precision but the contract is only stated up to this argument.
 POWER_SERIES_X_MAX = 50.0
-
-
-@dataclass(frozen=True)
-class HalfOrderIndex:
-    """Index m for the half-integer order m + 1/2."""
-
-    m: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "m",
-                           as_int(self.m, 0, "half-order index must be a nonnegative integer"))
-
-    @property
-    def order(self) -> float:
-        return self.m + 0.5
 
 
 @dataclass(frozen=True)
@@ -238,31 +219,6 @@ def spherical_jn(m: int, z: float) -> float:
     m = as_int(m, 0, "order m must be a nonnegative integer")
     z = as_real(z, "argument must be finite and nonnegative", ge=0.0)
     return float(_spherical_jn_vec(m, np.array([z]))[0])
-
-
-def bessel_j_half(m, z: float) -> float:
-    """J_{m+1/2}(z) = sqrt(2 z / pi) * j_m(z); exactly 0 at z = 0."""
-    if isinstance(m, HalfOrderIndex):
-        m = m.m
-    m = as_int(m, 0, "order m must be a nonnegative integer")
-    z = as_real(z, "argument must be finite and nonnegative", ge=0.0)
-    if z == 0.0:
-        return 0.0
-    return math.sqrt(2.0 * z / math.pi) * spherical_jn(m, z)
-
-
-# ---------------------------------------------------------------------------
-# log-gamma
-# ---------------------------------------------------------------------------
-
-def log_gamma(a: float) -> float:
-    """ln Gamma(a) for a > 0, from mpmath at a fixed 80-bit working
-    precision that the caller's global mpmath setting does not change.
-    Within 1 ulp of the exact value on (0, 170], and exactly 0.0 at
-    a = 1 and a = 2."""
-    a = as_real(a, "log_gamma requires a > 0", gt=0.0)
-    with mp.workprec(80):
-        return float(mp.loggamma(a))
 
 
 # ---------------------------------------------------------------------------

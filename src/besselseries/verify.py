@@ -39,7 +39,6 @@ from .errors import (BoundNotApplicableError, DomainError, NoConvergenceError, Q
 from .special import OracleConfig, _bessel_j_series_vec, bessel_j_power_series
 
 __all__ = [
-    "QuadratureOptions",
     "IdentityResidual",
     "ConvergenceRecord",
     "check_integral_identity",
@@ -51,26 +50,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuadratureOptions:
-    """Gauss-Legendre order per panel, starting panel count, and the
-    refinement target for the panel-doubling self-check."""
-
-    nodes: int = 32
-    panels: int = 2
-    target_tol: float = 1e-11
-    max_refinements: int = 12
-
-    def __post_init__(self):
-        object.__setattr__(self, "nodes", as_int(self.nodes, 8, "nodes must be an integer >= 8"))
-        object.__setattr__(self, "panels",
-                           as_int(self.panels, 1, "panels must be a positive integer"))
-        object.__setattr__(self, "target_tol",
-                           as_real(self.target_tol, "target_tol must be positive and finite",
-                                   gt=0.0))
-        object.__setattr__(self, "max_refinements",
-                           as_int(self.max_refinements, 0,
-                                  "max_refinements must be a nonnegative integer"))
+# Gauss-Legendre order per panel, starting panel count, and the target and
+# budget of the panel-doubling self-check
+_QUAD_NODES = 32
+_QUAD_PANELS = 2
+_QUAD_TOL = 1e-11
+_QUAD_MAX_REFINEMENTS = 12
 
 
 @dataclass(frozen=True)
@@ -125,20 +110,20 @@ def _panel_quad(f, a, b, nodes, panels):
     return np.sum(half * (vals * ws[None, :]).sum(axis=1)).item()
 
 
-def _refine_quad(f, a, b, q: QuadratureOptions, panel_scale: int = 1):
+def _refine_quad(f, a, b, panel_scale: int = 1):
     """Double the panel count until two successive estimates agree to
-    target_tol; returns the finer estimate."""
-    panels = q.panels * max(1, panel_scale)
-    prev = _panel_quad(f, a, b, q.nodes, panels)
-    for _ in range(q.max_refinements):
+    _QUAD_TOL; returns the finer estimate."""
+    panels = _QUAD_PANELS * max(1, panel_scale)
+    prev = _panel_quad(f, a, b, _QUAD_NODES, panels)
+    for _ in range(_QUAD_MAX_REFINEMENTS):
         panels *= 2
-        cur = _panel_quad(f, a, b, q.nodes, panels)
-        if abs(cur - prev) < q.target_tol:
+        cur = _panel_quad(f, a, b, _QUAD_NODES, panels)
+        if abs(cur - prev) < _QUAD_TOL:
             return cur
         prev = cur
     raise QuadratureError(
         f"panel refinement stalled at {panels} panels without reaching "
-        f"{q.target_tol}")
+        f"{_QUAD_TOL}")
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +159,7 @@ def _identity_rhs(family, nu, b, y):
 # identity and Fourier checks: one coefficient integral
 # ---------------------------------------------------------------------------
 
-def _coefficient_integral(family, nu, b, y, q, hi):
+def _coefficient_integral(family, nu, b, y, hi):
     """Complex integral of F_nu(b, t) e^(i y t) dt after t = cos(theta),
     theta in [0, hi]: hi = pi/2 gives the identity (t in [0, 1]; its left
     side is the real part), hi = pi the Fourier coefficient (t in [-1, 1]).
@@ -200,21 +185,18 @@ def _coefficient_integral(family, nu, b, y, q, hi):
 
     if family is SeriesFamily.B:
         return _refine_quad(lambda u: f(hi * np.sin(u) ** 2) * hi * np.sin(2.0 * u),
-                            0.0, math.pi / 2.0, q, scale)
-    return _refine_quad(f, 0.0, hi, q, scale)
+                            0.0, math.pi / 2.0, scale)
+    return _refine_quad(f, 0.0, hi, scale)
 
 
-def check_integral_identity(family, nu: float, b: float, y: float,
-                            q: QuadratureOptions | None = None) -> IdentityResidual:
+def check_integral_identity(family, nu: float, b: float, y: float) -> IdentityResidual:
     """Residual |LHS - RHS| of the family's source integral identity, 0 < b <= 8."""
     fam = _as_family(family)
-    if q is None:
-        q = QuadratureOptions()
     nu = as_real(nu, "identity requires nu > -1", gt=-1.0)
     # the integrand's J_nu(b s), 0 <= s <= 1, comes from _bessel_j_series_vec
     b = as_real(b, "identity requires 0 < b <= 8 (J_nu(b s) by power series)", gt=0.0, le=8.0)
     y = as_real(y, "identity requires finite y")
-    lhs = _coefficient_integral(fam, nu, b, y, q, math.pi / 2.0).real
+    lhs = _coefficient_integral(fam, nu, b, y, math.pi / 2.0).real
     rhs = _identity_rhs(fam, nu, b, y)
     return IdentityResidual(fam, nu, b, y, lhs, rhs, abs(lhs - rhs))
 
@@ -228,30 +210,24 @@ def _fourier_args(family, nu, b, k):
     return fam, nu, b, k * math.pi
 
 
-def check_fourier_coefficient(family, nu: float, b: float, k: int,
-                              q: QuadratureOptions | None = None) -> IdentityResidual:
+def check_fourier_coefficient(family, nu: float, b: float, k: int) -> IdentityResidual:
     """Residual between int_{-1}^{1} F_nu(b,t) e^(i k pi t) dt and the
     closed coefficient f_nu(b, k pi) (twice the single-interval identity
     right side)."""
     fam, nu, b, y = _fourier_args(family, nu, b, k)
-    if q is None:
-        q = QuadratureOptions()
-    full = _coefficient_integral(fam, nu, b, y, q, math.pi)
+    full = _coefficient_integral(fam, nu, b, y, math.pi)
     rhs = 2.0 * _identity_rhs(fam, nu, b, y)
     return IdentityResidual(fam, nu, b, y, full.real, rhs, abs(full - rhs))
 
 
-def fourier_parity_residual(family, nu: float, b: float, k: int,
-                            q: QuadratureOptions | None = None) -> float:
+def fourier_parity_residual(family, nu: float, b: float, k: int) -> float:
     """|full-interval integral - 2 * half-interval integral| for the even
     part (families B, C) or the odd-coupled real part (family A); checks
     numerically that extending the integration interval doubles the
     coefficient."""
     fam, nu, b, y = _fourier_args(family, nu, b, k)
-    if q is None:
-        q = QuadratureOptions()
-    full = _coefficient_integral(fam, nu, b, y, q, math.pi)
-    half = _coefficient_integral(fam, nu, b, y, q, math.pi / 2.0)
+    full = _coefficient_integral(fam, nu, b, y, math.pi)
+    half = _coefficient_integral(fam, nu, b, y, math.pi / 2.0)
     return abs(full.real - 2.0 * half.real)
 
 
@@ -317,13 +293,10 @@ def terms_to_tolerance(spec: SeriesSpec, tol: float, k_cap: int = 10**7) -> int:
     return hi
 
 
-def sweep(grid, opts: EvalOptions | None = None,
-          oracle_cfg: OracleConfig | None = None) -> list[ConvergenceRecord]:
+def sweep(grid, opts: EvalOptions | None = None) -> list[ConvergenceRecord]:
     """One ConvergenceRecord per spec, in input order.  Failures are
     captured in the record's error field instead of aborting the sweep.
-
-    The oracle column is J_n(bx) from _reference_j; oracle_cfg is accepted
-    for compatibility and has no effect."""
+    The oracle column is J_n(bx) from _reference_j."""
     if opts is None:
         opts = EvalOptions()
     records = []
@@ -352,22 +325,27 @@ def uniform_convergence_proxy(family, n: int, x: float, b_grid, k_list,
 
     The limit is the series' own left-hand side built from the
     power-series reference, so the sequence is a direct numerical proxy
-    for uniform-in-b convergence of the partial sums.
+    for uniform-in-b convergence of the partial sums.  x must be >= 0, and
+    for family B, whose limit divides by b, every b must be > 0.
     """
     fam = _as_family(family)
     if oracle_cfg is None:
         oracle_cfg = OracleConfig(tol=1e-14)
+    x = as_real(x, "uniform_convergence_proxy requires x >= 0", ge=0.0)
+    if fam is SeriesFamily.B:
+        b_grid = [as_real(b, "uniform_convergence_proxy for family B requires every b in "
+                          "b_grid > 0", gt=0.0) for b in b_grid]
+    specs = [SeriesSpec(fam, n, b, x) for b in b_grid]
     k_list = [as_int(K, 0, "K must be a nonnegative integer") for K in k_list]
     k_top = max(k_list, default=0)
     sups = [0.0] * len(k_list)
     raw = None
-    for b in b_grid:
-        spec = SeriesSpec(fam, n, b, x)
+    for spec in specs:
         if raw is None:
             # the unmodulated terms do not depend on b: one kernel pass
             # serves every b, each weighted as _weighted_terms weights it
             ks = np.arange(_k_start(fam), _k_start(fam) + k_top, dtype=np.float64)
-            raw = _TERM_VEC[fam](spec.n, abs(spec.x), ks)
+            raw = _TERM_VEC[fam](spec.n, spec.x, ks)
         # the terms are elementwise and fsum is exact, so each prefix sum
         # equals the K-term partial sum summed on its own
         terms = (_weights_vec(fam, spec.b, ks) * raw).tolist()

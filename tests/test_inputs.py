@@ -10,12 +10,11 @@ import numpy as np
 import pytest
 
 import besselseries
-from besselseries import (SERIES_X_MAX, DomainError, EvalOptions, HalfOrderIndex, OracleConfig,
-                          QuadratureOptions, SeriesFamily, SeriesSpec, asymptotic_term,
-                          bessel_j, bessel_j_half, bessel_j_power_series,
+from besselseries import (SERIES_X_MAX, DomainError, EvalOptions, OracleConfig, SeriesFamily,
+                          SeriesSpec, asymptotic_term, bessel_j, bessel_j_power_series,
                           check_fourier_coefficient, check_integral_identity, cos_series,
                           decay_ratio_study, eps, eval_at_b1, eval_j0_variant, eval_series,
-                          g_a, g_bc, log_gamma, phi, sin_series_1, sin_series_2, spherical_jn,
+                          g_a, g_bc, phi, sin_series_1, sin_series_2, spherical_jn,
                           tail_bound, term_a, term_b, term_c, terms_to_tolerance,
                           uniform_convergence_proxy)
 from besselseries.engine import _weighted_terms
@@ -40,16 +39,12 @@ ENTRY_POINTS = [
     (bessel_j, (1, 1.3, "C", 0.5, FAST), (0,), (1, 3)),
     (asymptotic_term, ("C", 1, 1.3, 2), (1, 3), (2,)),
     (tail_bound, (SPEC, 50), (1,), ()),
-    (HalfOrderIndex, (2,), (0,), ()),
     (OracleConfig, (1e-12, 100), (1,), (0,)),
     (spherical_jn, (2, 1.3), (0,), (1,)),
-    (bessel_j_half, (2, 1.3), (0,), (1,)),
-    (log_gamma, (1.3,), (), (0,)),
     (bessel_j_power_series, (1.5, 1.3), (), (0, 1)),
     (cos_series, (1.3, 16), (1,), (0,)),
     (sin_series_1, (1.3, 16), (1,), (0,)),
     (sin_series_2, (1.3, 16), (1,), (0,)),
-    (QuadratureOptions, (16, 2, 1e-9, 6), (0, 1, 3), (2,)),
     (check_integral_identity, ("C", 0.5, 0.7, 1.3), (), (1, 2, 3)),
     (check_fourier_coefficient, ("C", 0.5, 0.7, 2), (3,), (1, 2)),
     (terms_to_tolerance, (SPEC, 1e-4, 10**4), (2,), (1,)),
@@ -70,8 +65,7 @@ def test_table_covers_every_numeric_entry_point():
     numeric = {name for name in besselseries.__all__
                if callable(getattr(besselseries, name))
                and not isinstance(getattr(besselseries, name), type)}
-    numeric |= {"SeriesSpec", "EvalOptions", "HalfOrderIndex", "OracleConfig",
-                "QuadratureOptions"}
+    numeric |= {"SeriesSpec", "EvalOptions", "OracleConfig"}
     assert numeric - set(IDS) == {"eval_series", "sweep"}
 
 
@@ -104,11 +98,9 @@ REJECTED = [
     (terms_to_tolerance, (SPEC, "x")),
     (EvalOptions, ("adaptive", 10**6, math.inf)),
     (OracleConfig, (math.inf,)),
-    (QuadratureOptions, (32, 2, math.inf)),
     (cos_series, (True, 10)),
     (SeriesSpec, ("C", 1, 0.5, True)),
     (eval_j0_variant, (True,)),
-    (log_gamma, (True,)),
     (term_c, (True, 1.0, 3)),
     (fourier_parity_residual, ("C", 0.0, 0.5, True)),
     (fourier_parity_residual, ("C", 0.0, 0.5, -1)),
@@ -138,6 +130,11 @@ REJECTED = [
     (decay_ratio_study, ("A", 1, 0.0, [5])),
     (decay_ratio_study, ("C", 2, 0.0, [5])),
     (decay_ratio_study, ("C", 0, 0.0, [5])),
+    # family B's limit divides by b, and the proxy's x is >= 0
+    (uniform_convergence_proxy, ("B", 1, 5.0, [0.0], [8])),
+    (uniform_convergence_proxy, ("B", 2, 5.0, [0.5, -0.0], [8])),
+    (uniform_convergence_proxy, ("A", 1, -2.5, [0.5], [8])),
+    (uniform_convergence_proxy, ("C", 0, -0.5, [], [8])),
 ]
 
 # (entry point, arguments with numpy scalars, the equal Python arguments)
@@ -204,6 +201,14 @@ def test_b_limit_is_named():
     with pytest.raises(DomainError, match=r"0 < b <= 8.*got 8\.5"):
         check_integral_identity("C", 0.0, 8.5, 1.0)
     assert check_integral_identity("C", 0.0, 8.0, 1.0).residual < 1e-10
+
+
+def test_proxy_edges_are_named():
+    # the messages name the proxy's own arguments, not the internal b x
+    with pytest.raises(DomainError, match=r"family B requires every b in b_grid > 0, got 0\.0"):
+        uniform_convergence_proxy("B", 1, 5.0, [0.0], [8])
+    with pytest.raises(DomainError, match=r"uniform_convergence_proxy requires x >= 0, got -2\.5"):
+        uniform_convergence_proxy("A", 1, -2.5, [0.5], [8])
 
 
 @pytest.mark.parametrize("family,n", [("A", 1), ("B", 2), ("C", 0)])

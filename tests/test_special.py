@@ -12,9 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from besselseries import (DomainError, HalfOrderIndex, NoConvergenceError,
-                          OracleConfig, bessel_j_half, bessel_j_power_series,
-                          log_gamma, spherical_jn)
+from besselseries import (DomainError, NoConvergenceError, OracleConfig,
+                          bessel_j_power_series, spherical_jn)
 from besselseries import special
 from besselseries.special import (_MILLER_FLOAT_MAX, _MILLER_RESCALE_M, _bessel_j_series_vec,
                                   _miller_start, _spherical_jn_vec)
@@ -36,22 +35,6 @@ SPHERICAL_REFS = [
     (7, 7.9, 0.1190771899391207540614),
     (2, 2.9, 0.2932878414758207857648),
 ]
-
-LOG_GAMMA_REFS = [
-    (0.001, 6.907178885383853682512),
-    (0.07, 2.622753760603215492585),
-    (0.3, 1.095797994818075521677),
-    (0.5, 0.5723649429247000870717),
-    (1.5, -0.1207822376352452223455),
-    (3.7, 1.428072326665387921872),
-    (8.470391993327773, 9.487734700623605547248),
-    (13.0, 19.98721449566188614952),
-    (25.5, 56.38916764371994674445),
-    (92.61801501251041, 325.4567499028105078837),
-    (120.25, 454.220987383358199682),
-    (170.0, 701.4372638087370853465),
-]
-
 
 class TestSphericalJn:
     def test_j0_at_pi_is_zero(self):
@@ -208,12 +191,19 @@ class TestSphericalJn:
         assert abs(spherical_jn(m, z)) <= 1.0 + 1e-12
 
 
+def _j_half(m, z):
+    # J_{m+1/2}(z) = sqrt(2z/pi) j_m(z)
+    return math.sqrt(2.0 * z / math.pi) * spherical_jn(m, z)
+
+
 class TestBesselJHalf:
+    """Half-integer-order J through spherical_jn."""
+
     def test_simple_values(self):
-        assert bessel_j_half(0, math.pi / 2) == pytest.approx(2.0 / math.pi, rel=1e-14, abs=0.0)
-        assert abs(bessel_j_half(0, math.pi)) < 1e-16
-        assert bessel_j_half(0, 0.0) == 0.0
-        assert bessel_j_half(3, 0.0) == 0.0
+        assert _j_half(0, math.pi / 2) == pytest.approx(2.0 / math.pi, rel=1e-14, abs=0.0)
+        assert abs(_j_half(0, math.pi)) < 1e-16
+        assert _j_half(0, 0.0) == 0.0
+        assert _j_half(3, 0.0) == 0.0
 
     @pytest.mark.parametrize("m,z,ref", [
         (0, 0.5, 0.5409737899345280913309),
@@ -221,74 +211,14 @@ class TestBesselJHalf:
         (4, 11.0, -0.1519424818382104584126),
     ])
     def test_reference_values(self, m, z, ref):
-        assert bessel_j_half(m, z) == pytest.approx(ref, rel=1e-13, abs=0.0)
-
-    def test_half_order_index(self):
-        idx = HalfOrderIndex(2)
-        assert idx.order == 2.5
-        assert bessel_j_half(idx, 3.0) == bessel_j_half(2, 3.0)
-        with pytest.raises(DomainError):
-            HalfOrderIndex(-1)
+        assert _j_half(m, z) == pytest.approx(ref, rel=1e-13, abs=0.0)
 
     def test_power_series_agreement(self):
         # same function through two unrelated code paths
         for m in range(0, 11):
             for z in (0.1, 0.9, 2.7, 8.3, 17.0, 30.0):
                 ps = bessel_j_power_series(m + 0.5, z, OracleConfig(tol=1e-16))
-                assert abs(bessel_j_half(m, z) - ps) < 1e-11
-
-
-class TestLogGamma:
-    def test_trivial_values(self):
-        assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-15)
-        assert log_gamma(2.0) == pytest.approx(0.0, abs=1e-15)
-        assert log_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), abs=1e-14)
-
-    @pytest.mark.parametrize("a,ref", LOG_GAMMA_REFS)
-    def test_reference_grid(self, a, ref):
-        assert abs(log_gamma(a) - ref) <= 1e-13
-
-    def test_dense_absolute_error(self):
-        # recurrence Gamma(a+1) = a Gamma(a) as an internal consistency net
-        for a in np.linspace(0.05, 84.5, 173):
-            a = float(a)
-            assert abs(log_gamma(a + 1.0) - log_gamma(a) - math.log(a)) < 2e-13
-
-    def test_invalid(self):
-        for bad in (0.0, -1.5, float("nan")):
-            with pytest.raises(DomainError):
-                log_gamma(bad)
-
-    def test_within_one_ulp(self):
-        import mpmath
-        grid = np.concatenate([np.geomspace(1e-300, 0.01, 60), np.linspace(0.01, 170.0, 1301),
-                               1.0 + np.array([-1e-9, -1e-15, 1e-15, 1e-9]),
-                               2.0 + np.array([-1e-9, -1e-15, 1e-15, 1e-9])])
-        for a in grid.tolist():
-            with mpmath.workdps(50):
-                ref = mpmath.loggamma(a)
-            assert abs(mpmath.mpf(log_gamma(a)) - ref) <= math.ulp(float(ref)), a
-
-    def test_exact_zeros(self):
-        assert log_gamma(1.0) == 0.0
-        assert log_gamma(2.0) == 0.0
-
-    def test_independent_of_global_mpmath_precision(self):
-        import mpmath
-        points = (0.3, 1.0, 2.0, 3.0, 17.25, 158.6)
-        before = [log_gamma(a) for a in points]
-        saved = mpmath.mp.dps
-        try:
-            mpmath.mp.dps = 5
-            after = [log_gamma(a) for a in points]
-        finally:
-            mpmath.mp.dps = saved
-        assert after == before
-
-    @pytest.mark.parametrize("nu", [0, 1, 2, 3])
-    def test_vectorized_series_normalisation(self, nu):
-        # at x = 1e-8 the series is its leading term (x/2)^nu / Gamma(nu + 1)
-        assert _bessel_j_series_vec(nu, [1e-8])[0] == (0.5e-8) ** nu / math.gamma(nu + 1)
+                assert abs(_j_half(m, z) - ps) < 1e-11
 
 
 class TestBesselJPowerSeries:
@@ -332,6 +262,11 @@ class TestBesselJPowerSeries:
             OracleConfig(tol=-1e-10)
         with pytest.raises(DomainError):
             OracleConfig(max_terms=0)
+
+    @pytest.mark.parametrize("nu", [0, 1, 2, 3])
+    def test_vectorized_series_normalisation(self, nu):
+        # at x = 1e-8 the series is its leading term (x/2)^nu / Gamma(nu + 1)
+        assert _bessel_j_series_vec(nu, [1e-8])[0] == (0.5e-8) ** nu / math.gamma(nu + 1)
 
     def test_vectorized_matches_scalar(self):
         xs = np.linspace(0.0, 6.0, 41)

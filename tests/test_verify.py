@@ -6,8 +6,7 @@ import mpmath
 import pytest
 
 from besselseries import (BoundNotApplicableError, DomainError, EvalOptions,
-                          NoConvergenceError, QuadratureOptions,
-                          SeriesFamily, SeriesSpec, check_fourier_coefficient,
+                          NoConvergenceError, SeriesFamily, SeriesSpec, check_fourier_coefficient,
                           check_integral_identity, decay_ratio_study, sweep,
                           terms_to_tolerance, uniform_convergence_proxy)
 from besselseries.verify import _panel_quad, _reference_j, fourier_parity_residual
@@ -24,24 +23,42 @@ class TestQuadratureCore:
         assert val == pytest.approx(35.0 / 3.0 + 34.0j / 3.0, rel=1e-14)
 
     def test_panel_doubling_self_consistency(self):
-        q = QuadratureOptions(nodes=24, panels=1, target_tol=1e-12)
-        a = _panel_quad(lambda t: (t * t + 0.5) ** -1.0, 0.0, 1.0, q.nodes, 4)
-        b = _panel_quad(lambda t: (t * t + 0.5) ** -1.0, 0.0, 1.0, q.nodes, 8)
+        a = _panel_quad(lambda t: (t * t + 0.5) ** -1.0, 0.0, 1.0, 24, 4)
+        b = _panel_quad(lambda t: (t * t + 0.5) ** -1.0, 0.0, 1.0, 24, 8)
         assert abs(a - b) < 1e-12
 
-    def test_options_validation(self):
-        with pytest.raises(DomainError):
-            QuadratureOptions(nodes=4)
-        with pytest.raises(DomainError):
-            QuadratureOptions(panels=0)
-        with pytest.raises(DomainError):
-            QuadratureOptions(target_tol=0.0)
-
-    def test_refinement_failure_raises(self):
+    def test_refinement_failure_raises(self, monkeypatch):
         from besselseries import QuadratureError
-        q = QuadratureOptions(nodes=8, panels=1, target_tol=1e-30, max_refinements=2)
+        for name, value in [("_QUAD_NODES", 8), ("_QUAD_PANELS", 1), ("_QUAD_TOL", 1e-30),
+                            ("_QUAD_MAX_REFINEMENTS", 2)]:
+            monkeypatch.setattr(f"besselseries.verify.{name}", value)
         with pytest.raises(QuadratureError):
-            check_integral_identity("C", 0.5, 1.0, 5.0, q)
+            check_integral_identity("C", 0.5, 1.0, 5.0)
+
+    # float.hex of lhs and residual at the defaults of the former
+    # QuadratureOptions (32 nodes, 2 panels, target 1e-11, 12 refinements);
+    # at nu = 0.25 the integrand is not smooth, so the target decides how
+    # many times the panels double
+    @pytest.mark.parametrize("check,args,lhs,residual", [
+        (check_integral_identity, ("A", 0.25, 0.7, 1.3),
+         "0x1.cc32263585e49p-3", "0x1.17a4000000000p-40"),
+        (check_integral_identity, ("B", 0.25, 0.7, 1.3),
+         "0x1.69c2c3bd888a6p-1", "0x1.8280000000000p-43"),
+        (check_integral_identity, ("C", 0.25, 1.0, 1.0),
+         "0x1.32db6d3f30fc1p-1", "0x1.56e0000000000p-41"),
+        (check_fourier_coefficient, ("A", 1.0, 0.7, 2),
+         "-0x1.22f3c724550fbp-6", "0x1.94c583ada5b53p-55"),
+        (check_fourier_coefficient, ("B", 0.25, 1.0, 2),
+         "0x1.7bb98e6531560p-2", "0x1.4be800062ba07p-41"),
+        (check_fourier_coefficient, ("C", 0.25, 1.0, 2),
+         "-0x1.cf7c9c1f7aa32p-5", "0x1.c0b40001241cfp-42"),
+    ], ids=["identity-A", "identity-B", "identity-C", "fourier-A", "fourier-B", "fourier-C"])
+    def test_quadrature_goldens(self, check, args, lhs, residual):
+        r = check(*args)
+        assert (r.lhs.hex(), r.residual.hex()) == (lhs, residual)
+
+    def test_parity_golden(self):
+        assert fourier_parity_residual("C", 0.25, 0.7, 2).hex() == "0x1.0000000000000p-54"
 
 
 class TestIntegralIdentities:
