@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -303,47 +305,41 @@ def term_c(n: int, x: float, k: int) -> float:
 # summation
 # ---------------------------------------------------------------------------
 
-def _k_start(family):
-    return 1 if family is SeriesFamily.A else 0
+# One series as _sum reads it: the term at index k = lo, lo + 1, ... is
+# weight(k) * kernel(k); the tail takes z = -e^(i phi), and Im for Re if imag
+_Row = namedtuple("_Row", "kernel weight lo phi imag")
 
 
-def _family_block(spec: SeriesSpec, xa: float):
-    """The family's terms as block(i0, i1, smooth) -> (t, g) for 0-based
-    term numbers [i0, i1), and the (phi, imag) that _sum reads: phi = pi c, g is
-    the raw term without its (-1)^k, divided by k pi c for family A.  A
-    modulation slower than phi = 1/16 is folded into g = (-1)^k t_k with
-    phi = 0 instead, so that g does not grow like 1/c."""
-    fam, n, b = spec.family, spec.n, spec.b
-    lo, term_vec = _k_start(fam), _TERM_VEC[fam]
+def _terms(row: _Row, i0: int, i1: int):
+    """(ks, raw, weight * raw) for 0-based term numbers [i0, i1) of row."""
+    ks = np.arange(row.lo + i0, row.lo + i1, dtype=np.float64)
+    raw = row.kernel(ks)
+    return ks, raw, row.weight(ks) * raw
+
+
+def _family_row(spec: SeriesSpec, xa: float) -> _Row:
+    """The family's row at |x| = xa, with phi = pi c: family A's weight
+    sin(k phi)/(k phi) is Im(z^k) (-1)^k/(k phi), B's and C's cos(k phi) is
+    Re(z^k) (-1)^k.  A modulation slower than phi = 1/16 is folded into the
+    terms with phi = 0 instead, so that g does not grow like 1/c."""
+    fam, b = spec.family, spec.b
     phi = math.pi * _c_of_b(b)
-    fold = phi < 1.0 / 16.0
-    imag = fam is SeriesFamily.A and not fold
-
-    def block(i0, i1, smooth):
-        ks = np.arange(lo + i0, lo + i1, dtype=np.float64)
-        raw = term_vec(n, xa, ks)
-        t = _weights_vec(fam, b, ks) * raw
-        if not smooth:
-            return t, None
-        g = (t if fold else raw) * _alt(ks)
-        if imag:
-            g /= ks * phi
-        return t, g
-    return block, (0.0 if fold else phi), imag
+    phi = phi if phi >= 1.0 / 16.0 else 0.0
+    return _Row(partial(_TERM_VEC[fam], spec.n, xa), partial(_weights_vec, fam, b),
+                1 if fam is SeriesFamily.A else 0, phi, fam is SeriesFamily.A and phi > 0.0)
 
 
 def _weighted_terms(spec: SeriesSpec, i0: int, i1: int):
     """Modulated terms (weight * raw) for term numbers [i0, i1), 1-based."""
-    return _family_block(spec, abs(spec.x))[0](i0 - 1, i1 - 1, False)[0]
+    return _terms(_family_row(spec, abs(spec.x)), i0 - 1, i1 - 1)[2]
 
 
-def _sum(block, opts: EvalOptions, x: float, lo: int, thr: float,
-         phi: float = 0.0, imag: bool = False):
-    """(value, terms_used, tail, converged) of the sum of the terms t_i,
-    i >= 0, of block(i0, i1, smooth) -> (t, g); g is needed only if smooth.
-
-    Adaptive mode writes t_i = Re(z^(lo+i)) g_i (Im when imag), z = -e^(i phi)
-    and g smooth, sums t_i for i < K0 and adds the Euler-Abel tail
+def _sum(row: _Row, opts: EvalOptions, x: float, thr: float):
+    """(value, terms_used, tail, converged) of the sum of the row's terms t_i,
+    i >= 0, at index k = lo + i.  Adaptive mode writes t_i = Re(z^k) g_i (Im
+    when imag), z = -e^(i phi), with g_i the raw term, or t_i at phi = 0,
+    times (-1)^k, and over k phi when imag; it sums t_i for i < K0 and adds
+    the Euler-Abel tail
 
         sum_{i>=K0} z^(lo+i) g_i = z^(lo+K0)/(1-z) sum_p r^p Delta^p g_K0,  r = z/(1-z),
 
@@ -354,15 +350,18 @@ def _sum(block, opts: EvalOptions, x: float, lo: int, thr: float,
     sum of k_max terms is returned as in fixed_k mode, with |t_k_max|, from
     the same kernel pass, as tail, and adaptive mode reports converged = False.
     """
+    lo, phi, imag = row.lo, row.phi, row.imag
     smooth = opts.mode == "adaptive" and phi < math.pi
     ts, gs = [], []
 
     def upto(count):
         have = sum(map(len, ts))
         while have < count:
-            t, g = block(have, min(have + _BLOCK, count), smooth)
+            ks, raw, t = _terms(row, have, min(have + _BLOCK, count))
             ts.append(t)
-            gs.append(g)
+            if smooth:
+                g = (raw if phi else t) * _alt(ks)
+                gs.append(g / (ks * phi) if imag else g)
             have += len(t)
         return ts[0] if len(ts) == 1 else np.concatenate(ts)
 
@@ -444,10 +443,8 @@ def eval_series(spec: SeriesSpec, opts: EvalOptions | None = None) -> EvalResult
             limit = xa * xa / 2.0 if n == 2 else 0.0  # lim (4m/b^2) J_2m(bx)
         return EvalResult(sign * limit, sign * limit, 0, 0.0, True)
 
-    block, phi, imag = _family_block(spec, xa)
     value, used, tail, converged = _sum(
-        block, opts, xa, _k_start(fam), 0.1 * opts.tol * _amplification_scale(spec),
-        phi, imag)
+        _family_row(spec, xa), opts, xa, 0.1 * opts.tol * _amplification_scale(spec))
     bessel = _recover_bessel(spec, value)
     warn = fam is not SeriesFamily.B and n >= 1 and b**n < 1e-6
     return EvalResult(sign * value, sign * bessel, used, tail, converged, warn)
@@ -479,14 +476,12 @@ def eval_j0_variant(x: float, opts: EvalOptions | None = None) -> EvalResult:
     x = as_real(x, _X_RULE, ge=-SERIES_X_MAX, le=SERIES_X_MAX)
     xs = math.sqrt(_FOUR_THIRDS * x * x)  # 2|x|/sqrt(3)
 
-    def block(i0, i1, smooth):
-        idx = np.arange(i0 + 1, i1 + 1, dtype=np.float64)
+    def kernel(idx):
         opi, psi, spsi, cpsi = _phi_parts(xs, 2.0 * idx - 1.0)
-        g = 4.0 * opi * (psi * cpsi - spsi) / psi**3
-        return _alt(idx) * g, g
+        return 4.0 * opi * (psi * cpsi - spsi) / psi**3
 
-    value, used, tail, converged = _sum(block, opts, xs, 1, 0.1 * opts.tol)
-    return EvalResult(value, value, used, tail, converged)
+    v, used, tail, converged = _sum(_Row(kernel, _alt, 1, 0.0, False), opts, xs, 0.1 * opts.tol)
+    return EvalResult(v, v, used, tail, converged)
 
 
 def bessel_j(n: int, x: float, family, b: float = 1.0,
@@ -560,8 +555,8 @@ def tail_bound(spec: SeriesSpec, K: int) -> float:
     yields the exact bound 0.
     """
     K = as_int(K, 0, "K must be a nonnegative integer")
-    pos = K + 1 if spec.family is SeriesFamily.A else K + 2  # index -> term number
-    window = _weighted_terms(spec, pos, pos + 8)
+    row = _family_row(spec, abs(spec.x))
+    window = _terms(row, K + 1 - row.lo, K + 9 - row.lo)[2]
     if np.all(window == 0.0):
         return 0.0
     signs = np.sign(window)

@@ -31,12 +31,11 @@ from functools import lru_cache
 import mpmath as mp
 import numpy as np
 
-from .engine import (_TERM_VEC, EvalOptions, SeriesFamily, SeriesSpec, _as_family,
-                     _k_start, _weights_vec, asymptotic_term, eval_series,
-                     tail_bound, term_a, term_b, term_c)
+from .engine import (EvalOptions, SeriesFamily, SeriesSpec, _as_family, _family_row,
+                     asymptotic_term, eval_series, tail_bound, term_a, term_b, term_c)
 from .errors import (BoundNotApplicableError, DomainError, NoConvergenceError, QuadratureError,
                      as_int, as_real)
-from .special import OracleConfig, _bessel_j_series_vec, bessel_j_power_series
+from .special import POWER_SERIES_X_MAX, OracleConfig, _bessel_j_series_vec, bessel_j_power_series
 
 __all__ = [
     "IdentityResidual",
@@ -325,8 +324,9 @@ def uniform_convergence_proxy(family, n: int, x: float, b_grid, k_list,
 
     The limit is the series' own left-hand side built from the
     power-series reference, so the sequence is a direct numerical proxy
-    for uniform-in-b convergence of the partial sums.  x must be >= 0, and
-    for family B, whose limit divides by b, every b must be > 0.
+    for uniform-in-b convergence of the partial sums.  x must be >= 0,
+    every b x must lie within the reference's range POWER_SERIES_X_MAX,
+    and for family B, whose limit divides by b, every b must be > 0.
     """
     fam = _as_family(family)
     if oracle_cfg is None:
@@ -336,19 +336,22 @@ def uniform_convergence_proxy(family, n: int, x: float, b_grid, k_list,
         b_grid = [as_real(b, "uniform_convergence_proxy for family B requires every b in "
                           "b_grid > 0", gt=0.0) for b in b_grid]
     specs = [SeriesSpec(fam, n, b, x) for b in b_grid]
+    b_top = max((spec.b for spec in specs), default=0.0)
+    if b_top * x > POWER_SERIES_X_MAX:
+        raise DomainError(f"uniform_convergence_proxy requires b x <= {POWER_SERIES_X_MAX} "
+                          f"for its power-series limit, got x = {x!r}, b = {b_top!r}")
     k_list = [as_int(K, 0, "K must be a nonnegative integer") for K in k_list]
     k_top = max(k_list, default=0)
     sups = [0.0] * len(k_list)
     raw = None
     for spec in specs:
-        if raw is None:
-            # the unmodulated terms do not depend on b: one kernel pass
-            # serves every b, each weighted as _weighted_terms weights it
-            ks = np.arange(_k_start(fam), _k_start(fam) + k_top, dtype=np.float64)
-            raw = _TERM_VEC[fam](spec.n, spec.x, ks)
+        row = _family_row(spec, x)
+        if raw is None:  # the unmodulated terms do not depend on b: one kernel pass serves all b
+            ks = np.arange(row.lo, row.lo + k_top, dtype=np.float64)
+            raw = row.kernel(ks)
         # the terms are elementwise and fsum is exact, so each prefix sum
         # equals the K-term partial sum summed on its own
-        terms = (_weights_vec(fam, spec.b, ks) * raw).tolist()
+        terms = (row.weight(ks) * raw).tolist()
         j = bessel_j_power_series(spec.n, spec.b * spec.x, oracle_cfg)
         if fam is SeriesFamily.B:
             limit = j / spec.b if spec.n % 2 == 1 else (2.0 * spec.n) / (spec.b * spec.b) * j

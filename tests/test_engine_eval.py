@@ -358,6 +358,17 @@ class TestTailBound:
     def test_zero_window_at_x0(self):
         assert tail_bound(SeriesSpec(SeriesFamily.C, 0, 1.0, 0.0), 5) == 0.0
 
+    @pytest.mark.parametrize("family,k0", [("A", 1), ("B", 0), ("C", 0)])
+    def test_index_map_matches_fixed_k(self, family, k0):
+        # the sum through index K holds K + 1 - k0 terms, so the bound is
+        # the fixed_k result's first omitted term, bit for bit
+        probes = [(0.7, 3), (0.7, 40), (0.7, 200), (3.3, 40), (3.3, 200), (9.1, 40), (9.1, 200)]
+        for n in range(0 if family == "C" else 1, 6):
+            for x, K in probes:
+                spec = SeriesSpec(family, n, 1.0, x)
+                want = eval_series(spec, EvalOptions("fixed_k", K + 1 - k0)).tail_bound
+                assert tail_bound(spec, K) == want, (n, x, K)
+
     def test_not_applicable_below_b1(self):
         for b in (0.25, 0.5, SQRT3_2):
             with pytest.raises(BoundNotApplicableError):

@@ -135,6 +135,8 @@ REJECTED = [
     (uniform_convergence_proxy, ("B", 2, 5.0, [0.5, -0.0], [8])),
     (uniform_convergence_proxy, ("A", 1, -2.5, [0.5], [8])),
     (uniform_convergence_proxy, ("C", 0, -0.5, [], [8])),
+    # the proxy's limit takes J_n(bx) from the power series, bx <= 50
+    (uniform_convergence_proxy, ("C", 1, 60.0, [0.9], [8])),
 ]
 
 # (entry point, arguments with numpy scalars, the equal Python arguments)
@@ -209,6 +211,13 @@ def test_proxy_edges_are_named():
         uniform_convergence_proxy("B", 1, 5.0, [0.0], [8])
     with pytest.raises(DomainError, match=r"uniform_convergence_proxy requires x >= 0, got -2\.5"):
         uniform_convergence_proxy("A", 1, -2.5, [0.5], [8])
+
+
+def test_proxy_power_series_range_is_named():
+    with pytest.raises(DomainError, match=r"uniform_convergence_proxy requires b x <= 50\.0 "
+                       r"for its power-series limit, got x = 60\.0, b = 0\.9"):
+        uniform_convergence_proxy("C", 1, 60.0, [0.5, 0.9, 0.7], [8])
+    assert len(uniform_convergence_proxy("C", 1, 50.0, [1.0], [0])) == 1
 
 
 @pytest.mark.parametrize("family,n", [("A", 1), ("B", 2), ("C", 0)])

@@ -6,7 +6,7 @@ import mpmath
 import pytest
 
 from besselseries import (BoundNotApplicableError, DomainError, EvalOptions,
-                          NoConvergenceError, SeriesFamily, SeriesSpec, check_fourier_coefficient,
+                          NoConvergenceError, engine, SeriesFamily, SeriesSpec, check_fourier_coefficient,
                           check_integral_identity, decay_ratio_study, sweep,
                           terms_to_tolerance, uniform_convergence_proxy)
 from besselseries.verify import _panel_quad, _reference_j, fourier_parity_residual
@@ -238,3 +238,19 @@ class TestUniformConvergenceProxy:
         sups = uniform_convergence_proxy("A", 1, 5.0, bgrid, [2**6, 2**8, 2**10])
         assert sups[0] > sups[1] > sups[2]
         assert sups[2] < 1e-5
+
+    @pytest.mark.parametrize("family,n", [("A", 1), ("B", 1), ("B", 2), ("C", 0)])
+    def test_one_kernel_pass_for_every_b(self, monkeypatch, family, n):
+        # the unmodulated terms do not depend on b, so nine b share one pass
+        fam = SeriesFamily(family)
+        kernel = engine._TERM_VEC[fam]
+        calls = []
+
+        def counted(*args):
+            calls.append(len(args[2]))
+            return kernel(*args)
+
+        monkeypatch.setitem(engine._TERM_VEC, fam, counted)
+        bgrid = [0.1 * i for i in range(1, 10)]
+        uniform_convergence_proxy(family, n, 5.0, bgrid, [2**6, 2**10, 7])
+        assert calls == [2**10]
