@@ -53,7 +53,6 @@ __all__ = [
 
 _BLOCK = 16384
 _WINDOW = 48  # forward differences available to the Euler-Abel tail
-_FOUR_THIRDS = 4.0 / 3.0
 
 # Largest |x| the series accept: the J_0 variant's psi^3 overflows from about 4.9e102
 SERIES_X_MAX = 1e100
@@ -146,10 +145,10 @@ class EvalResult:
 # ---------------------------------------------------------------------------
 
 def phi(x: float, k: int) -> float:
-    """phi_k = sqrt(x^2 + (k pi)^2)."""
+    """phi_k = sqrt(x^2 + (k pi)^2), bit for bit the phi_k of _phase."""
     x = as_real(x, "phi requires finite x >= 0", ge=0.0)
     k = as_int(k, 0, "phi requires integer k >= 0")
-    return math.hypot(x, k * math.pi)
+    return float(_phase(x, np.array([float(k)]))[1][0])
 
 
 def eps(k: int) -> float:
@@ -164,21 +163,17 @@ def _c_of_b(b):
 
 
 def g_a(b: float, k: int) -> float:
-    """sin(k pi c)/(k pi c) with c = sqrt(1 - b^2); 1 at b = 1 (sinc limit)."""
+    """Family A's k-th weight sin(k pi c)/(k pi c), c = sqrt(1 - b^2), as summed."""
     b = as_real(b, "g_a requires 0 < b <= 1", gt=0.0, le=1.0)
     k = as_int(k, 1, "g_a requires integer k >= 1")
-    c = _c_of_b(b)
-    if c == 0.0:
-        return 1.0
-    arg = k * math.pi * c
-    return math.sin(arg) / arg
+    return float(_weights_vec(SeriesFamily.A, b, np.array([float(k)]))[0])
 
 
 def g_bc(b: float, k: int) -> float:
-    """cos(k pi sqrt(1 - b^2))."""
+    """cos(k pi sqrt(1 - b^2)); B's and C's k-th weight eps(k) g_bc, as summed."""
     b = as_real(b, "g_bc requires 0 <= b <= 1", ge=0.0, le=1.0)
     k = as_int(k, 0, "g_bc requires integer k >= 0")
-    return math.cos(k * math.pi * _c_of_b(b))
+    return float(_weights_vec(SeriesFamily.B, b, np.array([float(k)]))[0]) / eps(k)
 
 
 # ---------------------------------------------------------------------------
@@ -401,12 +396,14 @@ def _recover_bessel(spec: SeriesSpec, value: float) -> float:
     return value / b**n
 
 
-def _amplification_scale(spec: SeriesSpec) -> float:
-    # value-space truncation error maps to J-space scaled by 1/b^n for
-    # families A and C; tighten the stop threshold accordingly
-    if spec.family is SeriesFamily.B:
-        return 1.0
-    return spec.b**spec.n
+def _series_value(spec: SeriesSpec, j: float) -> float:
+    """The left-hand side at J_n(bx) = j; 2n/b^2 is inf where b * b underflows."""
+    n, b = spec.n, spec.b
+    if spec.family is not SeriesFamily.B:
+        return b**n * j
+    if n % 2 == 1:
+        return j / b
+    return (2.0 * n) / (b * b) * j if b * b else math.copysign(math.inf, j)
 
 
 def eval_series(spec: SeriesSpec, opts: EvalOptions | None = None) -> EvalResult:
@@ -433,21 +430,19 @@ def eval_series(spec: SeriesSpec, opts: EvalOptions | None = None) -> EvalResult
         v = 1.0 if n == 0 else 0.0
         return EvalResult(v, v, 0, 0.0, True)
     if fam is SeriesFamily.B and b == 0.0:
-        # the left side exists only as the b -> 0 limit, and at b = 0 the
-        # modulation degenerates to (-1)^k, leaving a one-signed tail for
-        # which the first-omitted-term diagnostics are meaningless; return
-        # the exact limit instead of summing
+        # the left side exists only as its b -> 0 limit, and the (-1)^k
+        # modulation at b = 0 leaves a one-signed tail: return the exact limit
         if n % 2 == 1:
             limit = xa / 2.0 if n == 1 else 0.0  # lim J_n(bx)/b
         else:
             limit = xa * xa / 2.0 if n == 2 else 0.0  # lim (4m/b^2) J_2m(bx)
         return EvalResult(sign * limit, sign * limit, 0, 0.0, True)
 
-    value, used, tail, converged = _sum(
-        _family_row(spec, xa), opts, xa, 0.1 * opts.tol * _amplification_scale(spec))
-    bessel = _recover_bessel(spec, value)
-    warn = fam is not SeriesFamily.B and n >= 1 and b**n < 1e-6
-    return EvalResult(sign * value, sign * bessel, used, tail, converged, warn)
+    # left side per unit J, capped at 1, so that thr holds in both units
+    scale = min(1.0, _series_value(spec, 1.0))
+    value, used, tail, converged = _sum(_family_row(spec, xa), opts, xa, 0.1 * opts.tol * scale)
+    return EvalResult(sign * value, sign * _recover_bessel(spec, value), used, tail, converged,
+                      scale < 1e-6)
 
 
 def eval_at_b1(n: int, x: float, opts: EvalOptions | None = None) -> EvalResult:
@@ -474,7 +469,7 @@ def eval_j0_variant(x: float, opts: EvalOptions | None = None) -> EvalResult:
     if opts is None:
         opts = EvalOptions()
     x = as_real(x, _X_RULE, ge=-SERIES_X_MAX, le=SERIES_X_MAX)
-    xs = math.sqrt(_FOUR_THIRDS * x * x)  # 2|x|/sqrt(3)
+    xs = math.sqrt(4.0 / 3.0 * x * x)  # 2|x|/sqrt(3)
 
     def kernel(idx):
         opi, psi, spsi, cpsi = _phi_parts(xs, 2.0 * idx - 1.0)
@@ -494,6 +489,9 @@ def bessel_j(n: int, x: float, family, b: float = 1.0,
     fam = _as_family(family)
     b = as_real(b, "bessel_j requires 0 < b <= 1", gt=0.0, le=1.0)
     x = as_real(x, "argument x must be finite")
+    if abs(x / b) > SERIES_X_MAX:
+        raise DomainError(f"bessel_j requires |x / b| <= {SERIES_X_MAX:g}, "
+                          f"got x = {x!r}, b = {b!r}")
     return eval_series(SeriesSpec(fam, n, b, x / b), opts).bessel_value
 
 

@@ -258,7 +258,11 @@ def bessel_j_power_series(nu: float, x: float, cfg: OracleConfig | None = None) 
             f"to reach tol={cfg.tol}")
 
 
-def _bessel_j_series_vec(nu, x, tol=1e-17, max_terms=120):
+_SERIES_VEC_TOL = 1e-17
+_SERIES_VEC_MAX_TERMS = 120
+
+
+def _bessel_j_series_vec(nu, x):
     """Double-precision vectorized Maclaurin J_nu over small arguments.
 
     Intended for quadrature integrands where x <= 8; there the leading
@@ -273,9 +277,9 @@ def _bessel_j_series_vec(nu, x, tol=1e-17, max_terms=120):
         term = half**nu / math.gamma(nu + 1.0)
     total = term.copy()
     h2 = half * half
-    for j in range(max_terms):
+    for j in range(_SERIES_VEC_MAX_TERMS):
         term = -term * h2 / ((j + 1) * (nu + j + 1))
         total += term
-        if not np.any(np.abs(term) >= tol):
+        if not np.any(np.abs(term) >= _SERIES_VEC_TOL):
             return total
     raise NoConvergenceError("vectorized power series did not converge")

@@ -32,7 +32,8 @@ import mpmath as mp
 import numpy as np
 
 from .engine import (EvalOptions, SeriesFamily, SeriesSpec, _as_family, _family_row,
-                     asymptotic_term, eval_series, tail_bound, term_a, term_b, term_c)
+                     _series_value, asymptotic_term, eval_series, tail_bound, term_a, term_b,
+                     term_c)
 from .errors import (BoundNotApplicableError, DomainError, NoConvergenceError, QuadratureError,
                      as_int, as_real)
 from .special import POWER_SERIES_X_MAX, OracleConfig, _bessel_j_series_vec, bessel_j_power_series
@@ -109,10 +110,10 @@ def _panel_quad(f, a, b, nodes, panels):
     return np.sum(half * (vals * ws[None, :]).sum(axis=1)).item()
 
 
-def _refine_quad(f, a, b, panel_scale: int = 1):
+def _refine_quad(f, a, b, panel_scale: int):
     """Double the panel count until two successive estimates agree to
     _QUAD_TOL; returns the finer estimate."""
-    panels = _QUAD_PANELS * max(1, panel_scale)
+    panels = _QUAD_PANELS * panel_scale
     prev = _panel_quad(f, a, b, _QUAD_NODES, panels)
     for _ in range(_QUAD_MAX_REFINEMENTS):
         panels *= 2
@@ -352,10 +353,6 @@ def uniform_convergence_proxy(family, n: int, x: float, b_grid, k_list,
         # the terms are elementwise and fsum is exact, so each prefix sum
         # equals the K-term partial sum summed on its own
         terms = (row.weight(ks) * raw).tolist()
-        j = bessel_j_power_series(spec.n, spec.b * spec.x, oracle_cfg)
-        if fam is SeriesFamily.B:
-            limit = j / spec.b if spec.n % 2 == 1 else (2.0 * spec.n) / (spec.b * spec.b) * j
-        else:
-            limit = spec.b**spec.n * j
+        limit = _series_value(spec, bessel_j_power_series(spec.n, spec.b * spec.x, oracle_cfg))
         sups = [max(worst, abs(math.fsum(terms[:K]) - limit)) for worst, K in zip(sups, k_list)]
     return sups

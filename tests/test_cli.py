@@ -28,6 +28,20 @@ class TestEval:
         assert code == EX_DOMAIN
         assert "diverges" in err
 
+    def test_j0var_rejects_nonzero_order(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "--family", "j0var", "--n", "1", "--x", "1")
+        assert code == EX_DOMAIN
+        assert out == ""
+        assert "the j0var series is an order-0 representation" in err
+
+    def test_small_b_power_warns(self, capsys):
+        # C at n = 8, b = 0.1 recovers J_8 by dividing by b^8 = 1e-8
+        code, out, err = run_cli(capsys, "eval", "--family", "C", "--n", "8", "--b", "0.1",
+                                 "--x", "1", "--K", "10")
+        assert code == EX_OK
+        assert "value = " in out
+        assert "warning: recovering J_n divides by b^n < 1e-6" in err
+
     def test_check_against_oracle(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "--family", "C", "--n", "1",
                                "--b", "1", "--x", "2", "--check", "--format", "json")
@@ -241,3 +255,8 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "--suite", "identity")
         assert code == EX_OK
         assert "suite identity: PASS" in out
+
+    def test_fourier_suite(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "fourier")
+        assert code == EX_OK
+        assert "suite fourier: PASS (243 checks, threshold 1e-08)" in out

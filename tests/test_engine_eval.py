@@ -171,6 +171,12 @@ class TestEvalSeries:
         res = eval_series(SeriesSpec(SeriesFamily.C, 5, 0.25, 1.0))
         assert not res.condition_warning
 
+    def test_family_b_even_order_where_b_squared_underflows(self):
+        # b * b = 0: the value per unit J is inf, so the threshold scale stays 1
+        res = eval_series(SeriesSpec(SeriesFamily.B, 2, 1e-170, 1.0), EvalOptions("fixed_k", 10))
+        assert math.isfinite(res.value) and res.bessel_value == 0.0
+        assert not res.condition_warning
+
 
 class TestEvalAtB1:
     def test_order_zero_rejected(self):

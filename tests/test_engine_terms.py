@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from besselseries import (DomainError, eps, g_a, g_bc, phi, term_a, term_b,
+from besselseries import (DomainError, SeriesSpec, eps, g_a, g_bc, phi, term_a, term_b,
                           term_c)
+from besselseries.engine import _phase, _weighted_terms
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
 
@@ -73,6 +74,30 @@ class TestGFactors:
     def test_bounds(self, b, k):
         assert abs(g_a(b, k)) <= 1.0 + 1e-15
         assert abs(g_bc(b, k)) <= 1.0
+
+
+def test_scalar_blocks_are_the_summed_terms():
+    # g(b, k) times the term, and phi_k, equal bit for bit what the series
+    # sum: index k is term number k + 1 - lo, with lo = 1 for A, 0 for B, C
+    rng = np.random.default_rng(20261020)
+    misses = []
+    for i in range(3000):
+        fam = "ABC"[i % 3]
+        b = 1.0 if i % 100 < 3 else 1.0 - rng.random()  # (0, 1], c = 0 at b = 1
+        n = int(rng.integers(1 if fam == "B" or b == 1.0 else 0, 7))
+        x = 20.0 * rng.random()
+        lo = 1 if fam == "A" else 0
+        k = int(rng.integers(lo, 301))
+        if fam == "A":
+            got = g_a(b, k) * term_a(n, x, k)
+        else:
+            got = eps(k) * g_bc(b, k) * (term_b if fam == "B" else term_c)(n, x, k)
+        i_term = k + 1 - lo
+        want = _weighted_terms(SeriesSpec(fam, n, b, x), i_term, i_term + 1)[0]
+        ph = _phase(x, np.array([float(k)]))[1][0]
+        if got != want or phi(x, k) != ph:
+            misses.append((fam, n, b, x, k))
+    assert misses == []
 
 
 class TestTermA:

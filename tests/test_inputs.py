@@ -137,6 +137,9 @@ REJECTED = [
     (uniform_convergence_proxy, ("C", 0, -0.5, [], [8])),
     # the proxy's limit takes J_n(bx) from the power series, bx <= 50
     (uniform_convergence_proxy, ("C", 1, 60.0, [0.9], [8])),
+    # bessel_j runs the series at x / b, which must stay within SERIES_X_MAX
+    (bessel_j, (1, 2.0, "C", 1e-300)),
+    (bessel_j, (1, 1e99, "B", 1e-300)),
 ]
 
 # (entry point, arguments with numpy scalars, the equal Python arguments)
@@ -211,6 +214,15 @@ def test_proxy_edges_are_named():
         uniform_convergence_proxy("B", 1, 5.0, [0.0], [8])
     with pytest.raises(DomainError, match=r"uniform_convergence_proxy requires x >= 0, got -2\.5"):
         uniform_convergence_proxy("A", 1, -2.5, [0.5], [8])
+
+
+def test_bessel_j_range_is_named():
+    # the messages name the caller's x and b, not the series argument x / b
+    with pytest.raises(DomainError, match=r"bessel_j requires \|x / b\| <= 1e\+100, "
+                       r"got x = 2\.0, b = 1e-300"):
+        bessel_j(1, 2.0, "C", 1e-300)
+    with pytest.raises(DomainError, match=r"got x = 1e\+99, b = 1e-300"):
+        bessel_j(1, 1e99, "B", 1e-300)
 
 
 def test_proxy_power_series_range_is_named():
