@@ -145,7 +145,7 @@ class EvalResult:
 # ---------------------------------------------------------------------------
 
 def phi(x: float, k: int) -> float:
-    """phi_k = sqrt(x^2 + (k pi)^2), bit for bit the phi_k of _phase."""
+    """phi_k = sqrt(x^2 + (k pi)^2), bit for bit the phi_k that _phase gives the series."""
     x = as_real(x, "phi requires finite x >= 0", ge=0.0)
     k = as_int(k, 0, "phi requires integer k >= 0")
     return float(_phase(x, np.array([float(k)]))[1][0])
@@ -163,14 +163,14 @@ def _c_of_b(b):
 
 
 def g_a(b: float, k: int) -> float:
-    """Family A's k-th weight sin(k pi c)/(k pi c), c = sqrt(1 - b^2), as summed."""
+    """Family A's k-th weight sin(k pi c)/(k pi c), c = sqrt(1 - b^2), bit for bit as summed."""
     b = as_real(b, "g_a requires 0 < b <= 1", gt=0.0, le=1.0)
     k = as_int(k, 1, "g_a requires integer k >= 1")
     return float(_weights_vec(SeriesFamily.A, b, np.array([float(k)]))[0])
 
 
 def g_bc(b: float, k: int) -> float:
-    """cos(k pi sqrt(1 - b^2)); B's and C's k-th weight eps(k) g_bc, as summed."""
+    """cos(k pi sqrt(1 - b^2)); eps(k) g_bc is B's and C's k-th weight, bit for bit as summed."""
     b = as_real(b, "g_bc requires 0 <= b <= 1", ge=0.0, le=1.0)
     k = as_int(k, 0, "g_bc requires integer k >= 0")
     return float(_weights_vec(SeriesFamily.B, b, np.array([float(k)]))[0]) / eps(k)
