@@ -13,8 +13,6 @@ import json
 import math
 import sys
 
-import mpmath as mp
-
 from .engine import (EvalOptions, SeriesFamily, SeriesSpec, eval_at_b1,
                      eval_j0_variant, eval_series)
 from .errors import (BoundNotApplicableError, DomainError, NoConvergenceError,
@@ -159,9 +157,8 @@ def _verify_identity():
     for fam in ("A", "B", "C"):
         for nu in (0.0, 0.5, 1.0, 2.5):
             for b in (0.5, 1.0, 2.0):
-                for y in (0.0, 1.0, math.pi, 5.0):
-                    r = _verify.check_integral_identity(fam, nu, b, y)
-                    rows.append((r.residual, f"identity {fam} nu={nu} b={b} y={_fmt(y)}"))
+                for r in _verify._identity_checks(fam, nu, b, (0.0, 1.0, math.pi, 5.0)):
+                    rows.append((r.residual, f"identity {fam} nu={nu} b={b} y={_fmt(r.y)}"))
     return rows
 
 
@@ -170,8 +167,7 @@ def _verify_fourier():
     for fam in ("A", "B", "C"):
         for nu in (0.0, 1.0, 2.5):
             for b in (0.3, 0.7, 1.0):
-                for k in range(0, 9):
-                    r = _verify.check_fourier_coefficient(fam, nu, b, k)
+                for k, r in enumerate(_verify._fourier_checks(fam, nu, b, range(9))):
                     rows.append((r.residual, f"fourier {fam} nu={nu} b={b} k={k}"))
     return rows
 
@@ -241,6 +237,7 @@ def _trig_lhs(which, x):
     they are formed in mpmath with that many digits to spare."""
     if x == 0:
         return 0.0
+    import mpmath as mp  # on first use, as in special and verify
     with mp.workdps(20 + 4 * max(0, -math.floor(math.log10(abs(x))))):
         x = mp.mpf(x)
         return float(mp.cos(x) - 1 + x * x / 2 if which == "cos" else 1 - mp.sin(x) / x)

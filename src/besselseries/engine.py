@@ -440,6 +440,9 @@ def eval_series(spec: SeriesSpec, opts: EvalOptions | None = None) -> EvalResult
 
     # left side per unit J, capped at 1, so that thr holds in both units
     scale = min(1.0, _series_value(spec, 1.0))
+    if scale == 0.0:
+        raise DomainError(f"family {fam.value} cannot recover J_n(bx) from its value b^n J_n(bx) "
+                          f"where b^n underflows to 0, got n = {n}, b = {b!r}")
     value, used, tail, converged = _sum(_family_row(spec, xa), opts, xa, 0.1 * opts.tol * scale)
     return EvalResult(sign * value, sign * _recover_bessel(spec, value), used, tail, converged,
                       scale < 1e-6)

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import mpmath as mp
 import numpy as np
 
 from .errors import DomainError, NoConvergenceError, as_int, as_real
@@ -242,6 +241,7 @@ def bessel_j_power_series(nu: float, x: float, cfg: OracleConfig | None = None) 
                 le=POWER_SERIES_X_MAX)
     if x == 0.0:
         return 1.0 if nu == 0 else 0.0
+    import mpmath as mp  # on first use: a fixed-K caller never loads it
     digits = 25 + int(0.45 * x)
     with mp.workdps(digits):
         half = mp.mpf(x) / 2
@@ -280,6 +280,6 @@ def _bessel_j_series_vec(nu, x):
     for j in range(_SERIES_VEC_MAX_TERMS):
         term = -term * h2 / ((j + 1) * (nu + j + 1))
         total += term
-        if not np.any(np.abs(term) >= _SERIES_VEC_TOL):
+        if not np.abs(term).max() >= _SERIES_VEC_TOL:
             return total
     raise NoConvergenceError("vectorized power series did not converge")

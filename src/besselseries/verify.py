@@ -26,9 +26,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
-import mpmath as mp
 import numpy as np
 
 from .engine import (EvalOptions, SeriesFamily, SeriesSpec, _as_family, _family_row,
@@ -94,30 +93,38 @@ class ConvergenceRecord:
 # composite Gauss-Legendre quadrature
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=16)
-def _gl_nodes(order):
-    xs, ws = np.polynomial.legendre.leggauss(order)
-    return xs, ws
-
-
-def _panel_quad(f, a, b, nodes, panels):
-    xs, ws = _gl_nodes(nodes)
+@lru_cache(maxsize=64)
+def _rule(a, b, nodes, panels, hi=None):
+    """Composite Gauss-Legendre rule on [a, b]: (theta, sin theta, cos theta,
+    panel half-widths, weights, sin 2u).  theta is the node u itself, or
+    with hi given, family B's substitution theta = hi sin^2(u).  Every
+    caller shares the cached arrays and only reads them."""
+    xs, ws = np.polynomial.legendre.leggauss(nodes)
     edges = np.linspace(a, b, panels + 1)
     mids = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
-    pts = (mids[:, None] + half[:, None] * xs[None, :]).ravel()
-    vals = f(pts).reshape(panels, nodes)
-    return np.sum(half * (vals * ws[None, :]).sum(axis=1)).item()
+    u = (mids[:, None] + half[:, None] * xs[None, :]).ravel()
+    theta = u if hi is None else hi * np.sin(u) ** 2
+    return theta, np.sin(theta), np.cos(theta), half, ws, None if hi is None else np.sin(2.0 * u)
 
 
-def _refine_quad(f, a, b, panel_scale: int):
-    """Double the panel count until two successive estimates agree to
-    _QUAD_TOL; returns the finer estimate."""
+def _panel_sum(vals, half, ws):
+    return np.sum(half * (vals.reshape(len(half), -1) * ws[None, :]).sum(axis=1)).item()
+
+
+def _panel_quad(f, a, b, nodes, panels):
+    theta, _, _, half, ws, _ = _rule(a, b, nodes, panels)
+    return _panel_sum(f(theta), half, ws)
+
+
+def _refine_quad(quad, panel_scale: int):
+    """Double the panel count until two successive estimates quad(panels)
+    agree to _QUAD_TOL; returns the finer estimate."""
     panels = _QUAD_PANELS * panel_scale
-    prev = _panel_quad(f, a, b, _QUAD_NODES, panels)
+    prev = quad(panels)
     for _ in range(_QUAD_MAX_REFINEMENTS):
         panels *= 2
-        cur = _panel_quad(f, a, b, _QUAD_NODES, panels)
+        cur = quad(panels)
         if abs(cur - prev) < _QUAD_TOL:
             return cur
         prev = cur
@@ -135,6 +142,7 @@ def _reference_j(nu, z):
     mpmath precision, and up to 100000 bits inside mpmath (J_10000(10000)
     takes about 0.4 s); signed z is fine for integer nu.  mpmath's failures
     surface as a one-line NoConvergenceError."""
+    import mpmath as mp  # on first use, as in special.bessel_j_power_series
     try:
         with mp.workprec(80):
             return float(mp.besselj(nu, z, maxprec=100000))
@@ -159,10 +167,11 @@ def _identity_rhs(family, nu, b, y):
 # identity and Fourier checks: one coefficient integral
 # ---------------------------------------------------------------------------
 
-def _coefficient_integral(family, nu, b, y, hi):
+def _coefficient_integral(family, nu, b, ys, hi):
     """Complex integral of F_nu(b, t) e^(i y t) dt after t = cos(theta),
-    theta in [0, hi]: hi = pi/2 gives the identity (t in [0, 1]; its left
-    side is the real part), hi = pi the Fourier coefficient (t in [-1, 1]).
+    theta in [0, hi], for each y in ys: hi = pi/2 gives the identity (t in
+    [0, 1]; its left side is the real part), hi = pi the Fourier
+    coefficient (t in [-1, 1]).
 
     With s = sin(theta), the integrand is s^(nu+1) J_nu(bs) e^(iyt) for
     family C and the same times -i t for family A; both are smooth, since
@@ -171,53 +180,67 @@ def _coefficient_integral(family, nu, b, y, hi):
     bare s^nu factor, so for fractional nu a second substitution
     theta = hi sin^2(u) clusters quadratically at both ends and restores
     spectral convergence.
+
+    Each y refines on its own, from 2 max(1, ceil(|y|/pi)) panels; the
+    y-free factors J_nu(bs) and s^(nu+1) are formed once per panel count.
     """
-    scale = max(1, math.ceil(abs(y) / math.pi))
+    sub = hi if family is SeriesFamily.B else None
+    shared = {}
 
-    def f(theta):
-        s = np.sin(theta)
-        t = np.cos(theta)
-        v = _bessel_j_series_vec(nu, b * s) * np.exp(1j * y * t)
-        if family is SeriesFamily.B:
-            return v
-        v = s ** (nu + 1.0) * v
-        return -1j * t * v if family is SeriesFamily.A else v
+    def quad(y, panels):
+        _, s, t, half, ws, s2u = _rule(0.0, math.pi / 2.0 if sub else hi, _QUAD_NODES, panels, sub)
+        if panels not in shared:
+            shared[panels] = _bessel_j_series_vec(nu, b * s), None if sub else s ** (nu + 1.0)
+        jv, power = shared[panels]
+        v = jv * np.exp(1j * y * t)
+        if sub:
+            return _panel_sum(v * hi * s2u, half, ws)
+        v = power * v
+        return _panel_sum(-1j * t * v if family is SeriesFamily.A else v, half, ws)
 
-    if family is SeriesFamily.B:
-        return _refine_quad(lambda u: f(hi * np.sin(u) ** 2) * hi * np.sin(2.0 * u),
-                            0.0, math.pi / 2.0, scale)
-    return _refine_quad(f, 0.0, hi, scale)
+    return [_refine_quad(partial(quad, y), max(1, math.ceil(abs(y) / math.pi))) for y in ys]
 
 
-def check_integral_identity(family, nu: float, b: float, y: float) -> IdentityResidual:
-    """Residual |LHS - RHS| of the family's source integral identity, 0 < b <= 8."""
+def _checks(family, nu, b, ys, fourier):
+    """One IdentityResidual per y of a validated (family, nu, b) group: the
+    identity check, or with fourier the Fourier coefficient check."""
+    vs = _coefficient_integral(family, nu, b, ys, math.pi if fourier else math.pi / 2.0)
+    rhs = [(2.0 if fourier else 1.0) * _identity_rhs(family, nu, b, y) for y in ys]
+    return [IdentityResidual(family, nu, b, y, v.real, r, abs((v if fourier else v.real) - r))
+            for y, v, r in zip(ys, vs, rhs)]
+
+
+def _identity_checks(family, nu, b, ys):
     fam = _as_family(family)
     nu = as_real(nu, "identity requires nu > -1", gt=-1.0)
     # the integrand's J_nu(b s), 0 <= s <= 1, comes from _bessel_j_series_vec
     b = as_real(b, "identity requires 0 < b <= 8 (J_nu(b s) by power series)", gt=0.0, le=8.0)
-    y = as_real(y, "identity requires finite y")
-    lhs = _coefficient_integral(fam, nu, b, y, math.pi / 2.0).real
-    rhs = _identity_rhs(fam, nu, b, y)
-    return IdentityResidual(fam, nu, b, y, lhs, rhs, abs(lhs - rhs))
+    return _checks(fam, nu, b, [as_real(y, "identity requires finite y") for y in ys], False)
 
 
-def _fourier_args(family, nu, b, k):
+def check_integral_identity(family, nu: float, b: float, y: float) -> IdentityResidual:
+    """Residual |LHS - RHS| of the family's source integral identity, 0 < b <= 8."""
+    return _identity_checks(family, nu, b, [y])[0]
+
+
+def _fourier_args(family, nu, b, ks):
     fam = _as_family(family)
-    k = as_int(k, 0, "k must be a nonnegative integer")
+    ks = [as_int(k, 0, "k must be a nonnegative integer") for k in ks]
     nu = as_real(nu, "Fourier check requires nu > -1", gt=-1.0)
     b = as_real(b, "Fourier check requires 0 < b <= 8 (J_nu(b s) by power series)",
                 gt=0.0, le=8.0)
-    return fam, nu, b, k * math.pi
+    return fam, nu, b, [k * math.pi for k in ks]
+
+
+def _fourier_checks(family, nu, b, ks):
+    return _checks(*_fourier_args(family, nu, b, ks), True)
 
 
 def check_fourier_coefficient(family, nu: float, b: float, k: int) -> IdentityResidual:
     """Residual between int_{-1}^{1} F_nu(b,t) e^(i k pi t) dt and the
     closed coefficient f_nu(b, k pi) (twice the single-interval identity
     right side)."""
-    fam, nu, b, y = _fourier_args(family, nu, b, k)
-    full = _coefficient_integral(fam, nu, b, y, math.pi)
-    rhs = 2.0 * _identity_rhs(fam, nu, b, y)
-    return IdentityResidual(fam, nu, b, y, full.real, rhs, abs(full - rhs))
+    return _fourier_checks(family, nu, b, [k])[0]
 
 
 def fourier_parity_residual(family, nu: float, b: float, k: int) -> float:
@@ -225,9 +248,9 @@ def fourier_parity_residual(family, nu: float, b: float, k: int) -> float:
     part (families B, C) or the odd-coupled real part (family A); checks
     numerically that extending the integration interval doubles the
     coefficient."""
-    fam, nu, b, y = _fourier_args(family, nu, b, k)
-    full = _coefficient_integral(fam, nu, b, y, math.pi)
-    half = _coefficient_integral(fam, nu, b, y, math.pi / 2.0)
+    fam, nu, b, ys = _fourier_args(family, nu, b, [k])
+    full, = _coefficient_integral(fam, nu, b, ys, math.pi)
+    half, = _coefficient_integral(fam, nu, b, ys, math.pi / 2.0)
     return abs(full.real - 2.0 * half.real)
 
 
@@ -327,7 +350,8 @@ def uniform_convergence_proxy(family, n: int, x: float, b_grid, k_list,
     power-series reference, so the sequence is a direct numerical proxy
     for uniform-in-b convergence of the partial sums.  x must be >= 0,
     every b x must lie within the reference's range POWER_SERIES_X_MAX,
-    and for family B, whose limit divides by b, every b must be > 0.
+    and for family B, whose limit divides by b (odd n) or b * b (even n),
+    that divisor must be > 0 for every b.
     """
     fam = _as_family(family)
     if oracle_cfg is None:
@@ -337,6 +361,10 @@ def uniform_convergence_proxy(family, n: int, x: float, b_grid, k_list,
         b_grid = [as_real(b, "uniform_convergence_proxy for family B requires every b in "
                           "b_grid > 0", gt=0.0) for b in b_grid]
     specs = [SeriesSpec(fam, n, b, x) for b in b_grid]
+    b_low = min((spec.b for spec in specs), default=1.0)
+    if fam is SeriesFamily.B and b_low * b_low == 0.0 and specs[0].n % 2 == 0:
+        raise DomainError(f"uniform_convergence_proxy for family B, even n, requires b * b > 0 "
+                          f"for its limit (2n/b^2) J_n(bx), got b = {b_low!r}")
     b_top = max((spec.b for spec in specs), default=0.0)
     if b_top * x > POWER_SERIES_X_MAX:
         raise DomainError(f"uniform_convergence_proxy requires b x <= {POWER_SERIES_X_MAX} "

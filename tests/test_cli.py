@@ -1,6 +1,7 @@
 """Command-line interface tests: flags, formats, exit codes, byte
 stability."""
 
+import hashlib
 import json
 
 import mpmath
@@ -260,3 +261,11 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "--suite", "fourier")
         assert code == EX_OK
         assert "suite fourier: PASS (243 checks, threshold 1e-08)" in out
+
+    def test_all_suites_output_is_pinned(self, capsys):
+        # SHA-256 of the stdout before the quadrature rules were cached and
+        # J_nu(b s) shared across the y of a group: every printed bit stays
+        code, out, _ = run_cli(capsys, "verify", "--suite", "all")
+        assert code == EX_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "0a255d89c83950ccba7ce85a0915951b3ff9de2ddcd069a6e2a6a520e97e9f8d")

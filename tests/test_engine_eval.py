@@ -177,6 +177,15 @@ class TestEvalSeries:
         assert math.isfinite(res.value) and res.bessel_value == 0.0
         assert not res.condition_warning
 
+    @pytest.mark.parametrize("family", ["A", "C"])
+    def test_underflowing_power_is_named(self, family):
+        # b^8 = 1e-400 underflows to 0, so J_n(bx) = value / b^n cannot be formed
+        with pytest.raises(DomainError, match=r"got n = 8, b = 1e-50"):
+            eval_series(SeriesSpec(family, 8, 1e-50, 1.0), EvalOptions("fixed_k", 10))
+        # adaptive: raised before any term is summed, not after k_max of them
+        with pytest.raises(DomainError, match=r"b\^n underflows to 0"):
+            bessel_j(8, 1e-49, family, 1e-50)
+
 
 class TestEvalAtB1:
     def test_order_zero_rejected(self):

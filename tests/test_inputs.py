@@ -133,6 +133,8 @@ REJECTED = [
     # family B's limit divides by b, and the proxy's x is >= 0
     (uniform_convergence_proxy, ("B", 1, 5.0, [0.0], [8])),
     (uniform_convergence_proxy, ("B", 2, 5.0, [0.5, -0.0], [8])),
+    # ... and for even n by b * b, which underflows to 0 below about 1.5e-162
+    (uniform_convergence_proxy, ("B", 2, 5.0, [1e-170], [8])),
     (uniform_convergence_proxy, ("A", 1, -2.5, [0.5], [8])),
     (uniform_convergence_proxy, ("C", 0, -0.5, [], [8])),
     # the proxy's limit takes J_n(bx) from the power series, bx <= 50

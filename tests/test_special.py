@@ -6,12 +6,16 @@ not depend on the code under test.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import besselseries
 from besselseries import (DomainError, NoConvergenceError, OracleConfig,
                           bessel_j_power_series, spherical_jn)
 from besselseries import special
@@ -276,3 +280,12 @@ class TestBesselJPowerSeries:
                 assert vi == pytest.approx(
                     bessel_j_power_series(nu, float(xi), OracleConfig(tol=1e-17)),
                     abs=1e-14)
+
+
+def test_import_leaves_mpmath_unloaded():
+    # mpmath is imported on first use, so a fixed-K caller never loads it
+    src = os.path.dirname(os.path.dirname(besselseries.__file__))
+    code = ("import sys, besselseries, besselseries.cli\n"
+            "sys.exit('mpmath' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0

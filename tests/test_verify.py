@@ -9,6 +9,8 @@ from besselseries import (BoundNotApplicableError, DomainError, EvalOptions,
                           NoConvergenceError, engine, SeriesFamily, SeriesSpec, check_fourier_coefficient,
                           check_integral_identity, decay_ratio_study, sweep,
                           terms_to_tolerance, uniform_convergence_proxy)
+from besselseries import verify
+from besselseries.special import _bessel_j_series_vec
 from besselseries.verify import _panel_quad, _reference_j, fourier_parity_residual
 
 
@@ -59,6 +61,41 @@ class TestQuadratureCore:
 
     def test_parity_golden(self):
         assert fourier_parity_residual("C", 0.25, 0.7, 2).hex() == "0x1.0000000000000p-54"
+
+    @pytest.mark.parametrize("group,args,panel_counts", [
+        (verify._identity_checks, ("C", 0.5, 1.0, (0.0, 1.0, math.pi, 5.0)), 3),
+        (verify._fourier_checks, ("B", 1.0, 0.7, range(9)), 12),
+    ], ids=["identity", "fourier"])
+    def test_one_series_call_per_panel_count(self, monkeypatch, group, args, panel_counts):
+        # J_nu(b s) does not depend on y: each y refines on its own, but the
+        # group evaluates the series once per distinct panel count
+        sizes = []
+
+        def counted(nu, x):
+            sizes.append(len(x))
+            return _bessel_j_series_vec(nu, x)
+
+        monkeypatch.setattr(verify, "_bessel_j_series_vec", counted)
+        verify._rule.cache_clear()
+        group(*args)
+        assert len(sizes) == len(set(sizes)) == panel_counts
+        assert verify._rule.cache_info().misses == panel_counts
+
+    # the suite grids of cli._verify_identity and cli._verify_fourier
+    @pytest.mark.parametrize("group,check,nus,bs,points", [
+        (verify._identity_checks, check_integral_identity, (0.0, 0.5, 1.0, 2.5),
+         (0.5, 1.0, 2.0), (0.0, 1.0, math.pi, 5.0)),
+        (verify._fourier_checks, check_fourier_coefficient, (0.0, 1.0, 2.5),
+         (0.3, 0.7, 1.0), range(9)),
+    ], ids=["identity", "fourier"])
+    def test_groups_match_single_checks(self, group, check, nus, bs, points):
+        for fam in ("A", "B", "C"):
+            for nu in nus:
+                for b in bs:
+                    for r, p in zip(group(fam, nu, b, points), points, strict=True):
+                        one = check(fam, nu, b, p)
+                        assert (r.lhs.hex(), r.residual.hex()) == (one.lhs.hex(),
+                                                                   one.residual.hex())
 
 
 class TestIntegralIdentities:
