@@ -237,7 +237,7 @@ def _trig_lhs(which, x):
     they are formed in mpmath with that many digits to spare."""
     if x == 0:
         return 0.0
-    import mpmath as mp  # on first use, as in special and verify
+    import mpmath as mp  # on first use: importing the package does not load it
     with mp.workdps(20 + 4 * max(0, -math.floor(math.log10(abs(x))))):
         x = mp.mpf(x)
         return float(mp.cos(x) - 1 + x * x / 2 if which == "cos" else 1 - mp.sin(x) / x)

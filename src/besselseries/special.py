@@ -241,7 +241,7 @@ def bessel_j_power_series(nu: float, x: float, cfg: OracleConfig | None = None) 
                 le=POWER_SERIES_X_MAX)
     if x == 0.0:
         return 1.0 if nu == 0 else 0.0
-    import mpmath as mp  # on first use: a fixed-K caller never loads it
+    import mpmath as mp  # on first use: importing the package does not load it
     digits = 25 + int(0.45 * x)
     with mp.workdps(digits):
         half = mp.mpf(x) / 2

@@ -94,13 +94,13 @@ class ConvergenceRecord:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=64)
-def _rule(a, b, nodes, panels, hi=None):
-    """Composite Gauss-Legendre rule on [a, b]: (theta, sin theta, cos theta,
-    panel half-widths, weights, sin 2u).  theta is the node u itself, or
-    with hi given, family B's substitution theta = hi sin^2(u).  Every
-    caller shares the cached arrays and only reads them."""
+def _rule(start, stop, nodes, panels, hi=None):
+    """Composite Gauss-Legendre rule on [start, stop]: (theta, sin theta,
+    cos theta, panel half-widths, weights, sin 2u).  theta is the node u
+    itself, or with hi given, family B's substitution theta = hi sin^2(u).
+    Every caller shares the cached arrays and only reads them."""
     xs, ws = np.polynomial.legendre.leggauss(nodes)
-    edges = np.linspace(a, b, panels + 1)
+    edges = np.linspace(start, stop, panels + 1)
     mids = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     u = (mids[:, None] + half[:, None] * xs[None, :]).ravel()
@@ -142,7 +142,7 @@ def _reference_j(nu, z):
     mpmath precision, and up to 100000 bits inside mpmath (J_10000(10000)
     takes about 0.4 s); signed z is fine for integer nu.  mpmath's failures
     surface as a one-line NoConvergenceError."""
-    import mpmath as mp  # on first use, as in special.bessel_j_power_series
+    import mpmath as mp  # on first use: importing the package does not load it
     try:
         with mp.workprec(80):
             return float(mp.besselj(nu, z, maxprec=100000))

@@ -263,8 +263,9 @@ class TestVerifyCommand:
         assert "suite fourier: PASS (243 checks, threshold 1e-08)" in out
 
     def test_all_suites_output_is_pinned(self, capsys):
-        # SHA-256 of the stdout before the quadrature rules were cached and
-        # J_nu(b s) shared across the y of a group: every printed bit stays
+        # SHA-256 of the whole stdout, recorded before the quadrature rules
+        # were cached and J_nu(b s) shared across a group's y, which must
+        # leave every printed bit as it was
         code, out, _ = run_cli(capsys, "verify", "--suite", "all")
         assert code == EX_OK
         assert hashlib.sha256(out.encode()).hexdigest() == (
